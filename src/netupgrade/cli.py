@@ -1,8 +1,8 @@
 """Command-line front end: generate, solve, verify, benchmark.
 
 All machine-readable data goes to stdout (JSON for single results, CSV for
-batches); diagnostics go to stderr.  Exit codes: 0 success, 2 usage or
-invalid instance, 3 infeasible / no path, 4 oracle size exceeded.
+batches); diagnostics go to stderr.  Exit codes: 0 success, 2 usage, invalid
+or oversized input, 3 infeasible / no path, 4 oracle size exceeded.
 """
 
 from __future__ import annotations
@@ -397,6 +397,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (UsageError, InvalidInstanceError, FormatError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except (OverflowError, MemoryError) as exc:
+        sys.stderr.write(f"error: input too large ({type(exc).__name__})\n")
         return EXIT_USAGE
     except (dag_dp.NoPathError, DisconnectedGraphError) as exc:
         sys.stderr.write(f"infeasible: {exc}\n")

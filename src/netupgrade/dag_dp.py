@@ -5,13 +5,15 @@ variant:
 
 * uniform  -- all improvement costs equal; table indexed by (vertex,
   improvements used), O(n^3).
-* budget   -- arbitrary costs; table L[v][w] = minimum spend realizing a
-  v->sink path of length exactly w, O(n^3 W).
+* budget   -- arbitrary costs; per-vertex Pareto frontier of non-dominated
+  (length, spend) pairs for v->sink paths (Nemhauser-Ullmann dominance
+  lists).  Spends on a frontier are distinct integers in [0, B] and lengths
+  at most n*W, so the DP is O(m * min(B+1, nW)) pseudo-polynomial.
 * fptas    -- lengths scaled down before the budget DP; spend is exact and
   the reported length is within (1 -/+ eps) of the optimum.
 
-Tables store parent pointers so every solver returns a fully reconstructed
-path whose independent re-evaluation matches the table value.
+Tables and frontiers store parent pointers so every solver returns a fully
+reconstructed path, totalled by ``instances.evaluate_path``.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ from .instances import (
     DagEdge,
     DagInstance,
     PathSolution,
+    evaluate_path,
     reachable_from,
     reaching_to,
     require_valid,
 )
 
 INF = 1 << 60
+_UNSEEN = (INF,)
 
 
 class NoPathError(RuntimeError):
@@ -100,66 +104,63 @@ def _reconstruct_uniform(dag, table, parent, cap) -> PathSolution:
         v = e.head
         if imp:
             q -= 1
-    length = sum(dag.edges[i].improved if f else dag.edges[i].base
-                 for i, f in zip(edge_ids, improved))
-    spend = sum(dag.edges[i].cost for i, f in zip(edge_ids, improved) if f)
-    return PathSolution(tuple(edge_ids), tuple(improved), length, spend)
+    return _path(dag, edge_ids, improved)
+
+
+def _path(dag: DagInstance, edge_ids, improved) -> PathSolution:
+    return PathSolution(tuple(edge_ids), tuple(improved),
+                        *evaluate_path(dag, edge_ids, improved))
 
 
 def _budget_dp(dag: DagInstance, budget: int, minimize: bool) -> PathSolution:
-    """Fill L[v][w] = min spend for a v->sink path of length exactly w."""
+    """Budgeted path DP over per-vertex Pareto frontiers.
+
+    front[v] maps a v->sink length to (spend, edge id, improved): the least
+    spend realizing that length within the budget.  Among equal spends the
+    earliest candidate wins, in out-edge order with base before improved,
+    which fixes the returned path among equal optima.  Only non-dominated
+    pairs are kept: a length survives when no better length costs as little.
+    """
     require_valid(dag, improvement="decrease" if minimize else "increase")
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    to_t, edges, on_path = _relevant(dag)
-    w_unit = 0
-    for e in on_path:
-        w_unit = max(w_unit, e.base, e.improved if e.cost <= budget else 0)
-    w_max = (dag.n - 1) * w_unit
-    order = dag.topological_order()
-    table = {v: [INF] * (w_max + 1) for v in to_t}
-    parent: dict[int, list] = {v: [None] * (w_max + 1) for v in to_t}
-    table[dag.sink][0] = 0
+    _, _, on_path = _relevant(dag)
     out: dict[int, list[DagEdge]] = {}
-    for e in edges:
+    for e in on_path:
         out.setdefault(e.tail, []).append(e)
-    for v in reversed(order):
-        if v == dag.sink or v not in to_t:
+    front = {dag.sink: {0: (0, None, False)}}
+    for v in reversed(dag.topological_order()):
+        if v not in out:
             continue
-        row, par = table[v], parent[v]
-        for e in out.get(v, ()):
-            down = table[e.head]
-            for w in range(e.base, w_max + 1):
-                cand = down[w - e.base]
-                if cand < row[w]:
-                    row[w], par[w] = cand, (e.id, False)
+        cand: dict[int, tuple] = {}
+        for e in out[v]:
+            down = front[e.head]
+            steps = [(e.base, 0, False)]
             if e.cost <= budget:
-                for w in range(e.improved, w_max + 1):
-                    cand = down[w - e.improved]
-                    if cand != INF and cand + e.cost < row[w]:
-                        row[w], par[w] = cand + e.cost, (e.id, True)
-    src = table[dag.source]
-    candidates = range(w_max, -1, -1) if not minimize else range(w_max + 1)
-    for w in candidates:
-        if src[w] <= budget:
-            return _reconstruct_budget(dag, table, parent, w)
-    raise NoPathError("no source-sink path within the budget")
-
-
-def _reconstruct_budget(dag, table, parent, w) -> PathSolution:
-    v = dag.source
-    edge_ids, improved = [], []
+                steps.append((e.improved, e.cost, True))
+            for step, cost, imp in steps:
+                for w, (s, _, _) in down.items():
+                    s += cost
+                    w += step
+                    if s <= budget and s < cand.get(w, _UNSEEN)[0]:
+                        cand[w] = (s, e.id, imp)
+        kept, floor = {}, INF
+        for w in sorted(cand, reverse=not minimize):
+            if cand[w][0] < floor:
+                kept[w] = cand[w]
+                floor = cand[w][0]
+        front[v] = kept
+    src = front[dag.source]
+    w = min(src) if minimize else max(src)
+    v, edge_ids, improved = dag.source, [], []
     while v != dag.sink:
-        eid, imp = parent[v][w]
+        _, eid, imp = front[v][w]
+        e = dag.edges[eid]
         edge_ids.append(eid)
         improved.append(imp)
-        e = dag.edges[eid]
         w -= e.improved if imp else e.base
         v = e.head
-    length = sum(dag.edges[i].improved if f else dag.edges[i].base
-                 for i, f in zip(edge_ids, improved))
-    spend = sum(dag.edges[i].cost for i, f in zip(edge_ids, improved) if f)
-    return PathSolution(tuple(edge_ids), tuple(improved), length, spend)
+    return _path(dag, edge_ids, improved)
 
 
 def wildag_uniform(dag: DagInstance, b: int) -> PathSolution:
@@ -260,16 +261,6 @@ def _rescore(dag: DagInstance, scaled: PathSolution, budget: int) -> PathSolutio
     clamped to no-ops before scaling; drop them here so the reported spend
     never counts an unaffordable upgrade.
     """
-    length = 0
-    spend = 0
-    flags = []
-    for eid, imp in zip(scaled.edge_ids, scaled.improved):
-        e = dag.edges[eid]
-        imp = imp and e.cost <= budget
-        flags.append(imp)
-        if imp:
-            length += e.improved
-            spend += e.cost
-        else:
-            length += e.base
-    return PathSolution(scaled.edge_ids, tuple(flags), length, spend)
+    flags = [imp and dag.edges[eid].cost <= budget
+             for eid, imp in zip(scaled.edge_ids, scaled.improved)]
+    return _path(dag, scaled.edge_ids, flags)

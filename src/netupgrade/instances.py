@@ -96,8 +96,8 @@ class DagInstance:
         """Largest edge length realizable on some s-t path within `budget`.
 
         Improved lengths count only when the improvement alone is affordable;
-        edges off every s-t path are ignored.  This is the table-width unit W
-        used by the budgeted dynamic programs.
+        edges off every s-t path are ignored.  This is W: the longest-path
+        FPTAS derives its scaling unit from it, and ``bench`` reports it.
         """
         from_s = reachable_from(self, self.source)
         to_t = reaching_to(self, self.sink)

@@ -8,7 +8,8 @@ Layout (keys in this order, compact separators, UTF-8):
 
 "source"/"sink" appear only for "wildag"; its ladders have exactly two
 entries [[l,0],[h,q]].  Edges are sorted by id and ladders by level, so
-serialize(parse(serialize(x))) is byte-identical.
+serialize(parse(serialize(x))) is byte-identical.  "n" is at most
+MAX_VERTICES, so validation and the solvers' per-vertex arrays stay small.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .instances import (
     UpgradableGraph,
     validate,
 )
+
+MAX_VERTICES = 1 << 20
 
 
 class FormatError(ValueError):
@@ -70,6 +73,8 @@ def parse(data: bytes | str) -> Problem:
     if kind not in ("imst", "wildag"):
         raise FormatError(f"unknown kind {kind!r}", "$.kind")
     n = _want(doc, "n", int, "$")
+    if n > MAX_VERTICES:
+        raise FormatError(f"vertex count exceeds {MAX_VERTICES}", "$.n")
     budget = _want(doc, "budget", int, "$")
     if budget < 0:
         raise FormatError("budget must be nonnegative", "$.budget")
@@ -104,13 +109,13 @@ def parse(data: bytes | str) -> Problem:
     if not _want(doc, "directed", bool, "$"):
         raise FormatError('"wildag" instances must have "directed": true', "$.directed")
     dag_edges = []
-    for eid, u, v, steps in edges:
+    for i, (eid, u, v, steps) in enumerate(edges):
         if len(steps) != 2:
             raise FormatError("wildag ladders must have exactly two levels",
-                              f"$.edges[{eid}].ladder")
+                              f"$.edges[{i}].ladder")
         (l, c0), (h, q) = steps
         if c0 != 0:
-            raise FormatError("level 0 must cost 0", f"$.edges[{eid}].ladder")
+            raise FormatError("level 0 must cost 0", f"$.edges[{i}].ladder")
         dag_edges.append(DagEdge(eid, u, v, l, h, q))
     dag = DagInstance(n, tuple(dag_edges), source, sink)
     _require_valid(dag, "$")

@@ -149,3 +149,28 @@ def test_seed_env_default(tmp_path, capsys, monkeypatch):
     args = parser.parse_args(["solve", "--algo", "uimst", "--k", "1",
                               "--in", str(path)])
     assert args.seed == 99
+
+
+def test_oversized_vertex_count_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "kind": "imst", "n": 10**30, "budget": 1,
+        "edges": [{"id": 0, "u": 0, "v": 1, "ladder": [[1, 0]]}],
+        "directed": False}))
+    code, out, err = run(capsys, "solve", "--algo", "uimst", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "vertex count" in err
+
+
+@pytest.mark.parametrize("exc", [OverflowError, MemoryError])
+def test_oversized_input_errors_exit_2_without_traceback(exc, capsys, monkeypatch):
+    from netupgrade import cli
+
+    def boom(_args):
+        raise exc()
+
+    monkeypatch.setattr(cli, "cmd_solve", boom)
+    code, _out, err = run(capsys, "solve", "--algo", "uimst", "--in", "x.json")
+    assert code == 2
+    assert err == f"error: input too large ({exc.__name__})\n"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from netupgrade import generate
 from netupgrade.serialization import (
+    MAX_VERTICES,
     FormatError,
     Problem,
     instance_hash,
@@ -120,3 +121,29 @@ def test_wisdag_style_decreasing_ladders_accepted():
            "source": 0, "sink": 1, "directed": True}
     p = parse(json.dumps(doc))
     assert p.dag.edges[0].base == 5 and p.dag.edges[0].improved == 2
+
+
+@pytest.mark.parametrize("ladder,message", [
+    ([[5, 0], [7, 1], [9, 2]], "exactly two levels"),
+    ([[5, 1], [7, 1]], "level 0 must cost 0"),
+])
+def test_wildag_ladder_errors_report_array_index(ladder, message):
+    # edge id 7 sits at array index 0: the location names the index
+    doc = {"kind": "wildag", "n": 2, "budget": 1,
+           "edges": [{"id": 7, "u": 0, "v": 1, "ladder": ladder}],
+           "source": 0, "sink": 1, "directed": True}
+    with pytest.raises(FormatError, match=message) as exc:
+        parse(json.dumps(doc))
+    assert exc.value.location == "$.edges[0].ladder"
+
+
+@pytest.mark.parametrize("n", [10**30, MAX_VERTICES + 1])
+def test_oversized_vertex_count_is_a_format_error(n):
+    with pytest.raises(FormatError, match="vertex count") as exc:
+        parse(_mutate(IMST_DOC, n=n))
+    assert exc.value.location == "$.n"
+    dag_doc = {"kind": "wildag", "n": n, "budget": 1,
+               "edges": [{"id": 0, "u": 0, "v": 1, "ladder": [[5, 0], [7, 1]]}],
+               "source": 0, "sink": 1, "directed": True}
+    with pytest.raises(FormatError, match="vertex count"):
+        parse(json.dumps(dag_doc))
