@@ -21,6 +21,7 @@ from . import dag_dp, generate, imst_random, mst_uniform, oracle, two_cost
 from .instances import (
     DisconnectedGraphError,
     InvalidInstanceError,
+    choices_from_copies,
     expand_to_multigraph,
 )
 from .serialization import FormatError, Problem, instance_hash, parse, serialize
@@ -91,8 +92,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _tree_edges(solution) -> list[dict]:
-    return [{"id": eid, "level": lvl} for eid, lvl in sorted(solution.choices.items())]
+def _tree_edges(choices: dict[int, int]) -> list[dict]:
+    return [{"id": eid, "level": lvl} for eid, lvl in sorted(choices.items())]
 
 
 def _path_edges(solution) -> list[dict]:
@@ -122,13 +123,11 @@ def _run_algo(algo: str, problem: Problem, args):
 
     if algo == "uimst":
         sol = mst_uniform.uimst_half_approx(problem.graph, args.k or 0)
-        return sol.total_length, sol.total_spend, _tree_edges(sol), True
+        return sol.total_length, sol.total_spend, _tree_edges(sol.choices), True
     if algo == "twocost":
         mg = expand_to_multigraph(problem.graph)
         res = two_cost.two_cost_mst(mg, budget, args.epsilon or Fraction(1, 2))
-        by_id = {c.copy_id: c for c in mg.copies}
-        choices = {by_id[i].edge_id: by_id[i].level for i in res.copy_ids}
-        edges = [{"id": eid, "level": lvl} for eid, lvl in sorted(choices.items())]
+        edges = _tree_edges(choices_from_copies(mg, res.copy_ids))
         return res.length, res.cost, edges, res.cost <= budget
     if algo == "imst":
         config = imst_random.RandomizedConfig(
@@ -138,17 +137,14 @@ def _run_algo(algo: str, problem: Problem, args):
         res = imst_random.imst_solve(problem.graph, budget, config,
                                      minimize=args.minimize)
         sol = res.solution
-        return sol.total_length, sol.total_spend, _tree_edges(sol), True
+        return sol.total_length, sol.total_spend, _tree_edges(sol.choices), True
     if algo == "exact-imst":
         val, sol = oracle.exact_imst(problem.graph, budget)
-        return val, sol.total_spend, _tree_edges(sol), True
+        return val, sol.total_spend, _tree_edges(sol.choices), True
     if algo == "exact-twocost":
         mg = expand_to_multigraph(problem.graph)
         length, cost, ids = oracle.exact_two_cost(mg, budget)
-        by_id = {c.copy_id: c for c in mg.copies}
-        choices = {by_id[i].edge_id: by_id[i].level for i in ids}
-        edges = [{"id": eid, "level": lvl} for eid, lvl in sorted(choices.items())]
-        return length, cost, edges, True
+        return length, cost, _tree_edges(choices_from_copies(mg, ids)), True
 
     dag = problem.dag
     if algo in ("wildag-uniform", "wisdag-uniform"):
@@ -306,32 +302,38 @@ def _verify_one(algo: str, size: int, seed: int, trials: int,
 BENCH_FIELDS = ["algo", "n", "m", "W", "epsilon", "wall_ms", "objective"]
 
 
+def _third_of_costs(dag) -> int:
+    return sum(e.cost for e in dag.edges) // 3
+
+
+# algorithm -> (solve(dag, budget, eps), budget rule(dag))
+_BENCH_ALGOS = {
+    "wildag-uniform": (lambda dag, b, _eps: dag_dp.wildag_uniform(dag, b),
+                       lambda dag: dag.n // 2),
+    "wildag-exact": (lambda dag, b, _eps: dag_dp.wildag_budget_exact(dag, b),
+                     _third_of_costs),
+    "wildag-fptas": (lambda dag, b, eps: dag_dp.wildag_fptas(dag, b, eps or Fraction(1, 2)),
+                     _third_of_costs),
+}
+
+
 def cmd_bench(args) -> int:
     writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_FIELDS, lineterminator="\n")
     writer.writeheader()
-    sizes = args.sizes
+    if args.algo not in _BENCH_ALGOS:
+        raise UsageError(f"bench does not support algorithm {args.algo!r}")
+    solve, budget_rule = _BENCH_ALGOS[args.algo]
     epsilons = args.epsilons or [None]
-    for n in sizes:
+    for n in args.sizes:
         m = min(n * (n - 1) // 2, max(n, n * n // 8))
         uniform = args.algo.endswith("uniform")
         dag = generate.gen_random_dag(n, m, max_len=10, max_cost=4,
                                       seed=args.seed + n,
                                       uniform_cost=1 if uniform else None)
+        budget = budget_rule(dag)
         for eps in epsilons:
-            if args.algo == "wildag-uniform":
-                budget = n // 2
-                start = time.perf_counter()
-                sol = dag_dp.wildag_uniform(dag, budget)
-            elif args.algo == "wildag-exact":
-                budget = sum(e.cost for e in dag.edges) // 3
-                start = time.perf_counter()
-                sol = dag_dp.wildag_budget_exact(dag, budget)
-            elif args.algo == "wildag-fptas":
-                budget = sum(e.cost for e in dag.edges) // 3
-                start = time.perf_counter()
-                sol = dag_dp.wildag_fptas(dag, budget, eps or Fraction(1, 2))
-            else:
-                raise UsageError(f"bench does not support algorithm {args.algo!r}")
+            start = time.perf_counter()
+            sol = solve(dag, budget, eps)
             wall = (time.perf_counter() - start) * 1000.0
             writer.writerow({
                 "algo": args.algo, "n": n, "m": dag.m,

@@ -1,23 +1,26 @@
 """Dynamic programs for weight-improvable longest/shortest paths in a DAG.
 
-Three solver families, each with a longest (wildag) and shortest (wisdag)
-variant:
+Every solver, longest (wildag) or shortest (wisdag), runs one dynamic
+program: a per-vertex Pareto frontier of non-dominated (length, spend) pairs
+for v->sink paths (Nemhauser-Ullmann dominance lists), where each upgrade is
+charged a per-edge price.  The solvers differ only in the prices and the
+budget they pass:
 
-* uniform  -- all improvement costs equal; table indexed by (vertex,
-  improvements used), O(n^3).
-* budget   -- arbitrary costs; per-vertex Pareto frontier of non-dominated
-  (length, spend) pairs for v->sink paths (Nemhauser-Ullmann dominance
-  lists).  Spends on a frontier are distinct integers in [0, B] and lengths
-  at most n*W, so the DP is O(m * min(B+1, nW)) pseudo-polynomial.
-* fptas    -- lengths scaled down before the budget DP; spend is exact and
-  the reported length is within (1 -/+ eps) of the optimum.
+* budget  -- the edges' own costs within B.  Spends on a frontier are
+  distinct integers in [0, B] and lengths at most n*W, so the DP is
+  O(m * min(B+1, nW)) pseudo-polynomial.
+* uniform -- every upgrade priced 1 within min(b, n-1), so spend counts
+  improvements: at most min(b, n-1)+1 pairs per vertex, O(m * n) <= O(n^3).
+* fptas   -- the budget DP over lengths scaled down by a unit K; spend is
+  exact and the reported length is within (1 -/+ eps) of the optimum.
 
-Tables and frontiers store parent pointers so every solver returns a fully
+Frontier entries keep parent pointers, so every solver returns a fully
 reconstructed path, totalled by ``instances.evaluate_path``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .instances import (
@@ -30,8 +33,7 @@ from .instances import (
     require_valid,
 )
 
-INF = 1 << 60
-_UNSEEN = (INF,)
+INF = math.inf
 
 
 class NoPathError(RuntimeError):
@@ -39,72 +41,16 @@ class NoPathError(RuntimeError):
 
 
 def _as_fraction(eps) -> Fraction:
-    if isinstance(eps, float):
-        return Fraction(str(eps))
-    return Fraction(eps)
+    return Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
 
 
-def _relevant(dag: DagInstance):
-    """Vertices reaching the sink and edges lying on some source-sink path."""
+def _relevant(dag: DagInstance) -> list[DagEdge]:
+    """Edges lying on some source-sink path."""
     from_s = reachable_from(dag, dag.source)
     to_t = reaching_to(dag, dag.sink)
     if dag.sink not in from_s:
         raise NoPathError("sink not reachable from source")
-    edges = [e for e in dag.edges if e.head in to_t]
-    on_path = [e for e in edges if e.tail in from_s]
-    return to_t, edges, on_path
-
-
-def _uniform_dp(dag: DagInstance, b: int, minimize: bool) -> PathSolution:
-    require_valid(dag, improvement="decrease" if minimize else "increase")
-    if b < 0:
-        raise ValueError("improvement count must be nonnegative")
-    costs = {e.cost for e in dag.edges}
-    if len(costs) > 1:
-        raise ValueError("uniform solver needs equal improvement costs on all edges")
-    to_t, edges, _ = _relevant(dag)
-    cap = min(b, dag.n - 1)
-    order = dag.topological_order()
-    worst = -INF if not minimize else INF
-    table = {v: [worst] * (cap + 1) for v in to_t}
-    parent: dict[int, list] = {v: [None] * (cap + 1) for v in to_t}
-    table[dag.sink] = [0] * (cap + 1)
-    out: dict[int, list[DagEdge]] = {}
-    for e in edges:
-        out.setdefault(e.tail, []).append(e)
-    prefer = (lambda a, b_: a < b_) if minimize else (lambda a, b_: a > b_)
-    for v in reversed(order):
-        if v == dag.sink or v not in to_t:
-            continue
-        row, par = table[v], parent[v]
-        for e in out.get(v, ()):
-            down = table[e.head]
-            for q in range(cap + 1):
-                if down[q] != worst:
-                    cand = down[q] + e.base
-                    if prefer(cand, row[q]):
-                        row[q], par[q] = cand, (e.id, False)
-                if q >= 1 and down[q - 1] != worst:
-                    cand = down[q - 1] + e.improved
-                    if prefer(cand, row[q]):
-                        row[q], par[q] = cand, (e.id, True)
-    if table[dag.source][cap] == worst:
-        raise NoPathError("no source-sink path")
-    return _reconstruct_uniform(dag, table, parent, cap)
-
-
-def _reconstruct_uniform(dag, table, parent, cap) -> PathSolution:
-    v, q = dag.source, cap
-    edge_ids, improved = [], []
-    while v != dag.sink:
-        eid, imp = parent[v][q]
-        edge_ids.append(eid)
-        improved.append(imp)
-        e = dag.edges[eid]
-        v = e.head
-        if imp:
-            q -= 1
-    return _path(dag, edge_ids, improved)
+    return [e for e in dag.edges if e.tail in from_s and e.head in to_t]
 
 
 def _path(dag: DagInstance, edge_ids, improved) -> PathSolution:
@@ -112,87 +58,124 @@ def _path(dag: DagInstance, edge_ids, improved) -> PathSolution:
                         *evaluate_path(dag, edge_ids, improved))
 
 
-def _budget_dp(dag: DagInstance, budget: int, minimize: bool) -> PathSolution:
-    """Budgeted path DP over per-vertex Pareto frontiers.
-
-    front[v] maps a v->sink length to (spend, edge id, improved): the least
-    spend realizing that length within the budget.  Among equal spends the
-    earliest candidate wins, in out-edge order with base before improved,
-    which fixes the returned path among equal optima.  Only non-dominated
-    pairs are kept: a length survives when no better length costs as little.
-    """
+def _require(dag: DagInstance, budget: int, minimize: bool, what: str) -> None:
     require_valid(dag, improvement="decrease" if minimize else "increase")
     if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    _, _, on_path = _relevant(dag)
+        raise ValueError(f"{what} must be nonnegative")
+
+
+def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, costs):
+    """Edge ids and improvement flags of the best source-sink path whose
+    upgrades, priced ``costs[edge id]``, fit the budget.
+
+    pairs[v] lists the non-dominated (length, spend) pairs of v->sink paths
+    by rising spend: a pair survives when every cheaper one has a worse
+    length.  Lengths are negated when maximizing, so lower is better.
+    via[v] maps a spend to the (edge id, improved) step of its best length.
+    Among equal lengths and spends the earliest candidate wins, in out-edge
+    order with base before improved, which fixes the path among equal optima.
+    """
+    sign = 1 if minimize else -1
     out: dict[int, list[DagEdge]] = {}
-    for e in on_path:
+    for e in _relevant(dag):
         out.setdefault(e.tail, []).append(e)
-    front = {dag.sink: {0: (0, None, False)}}
+    pairs = {dag.sink: [(0, 0)]}
+    via: dict[int, dict] = {}
     for v in reversed(dag.topological_order()):
         if v not in out:
             continue
-        cand: dict[int, tuple] = {}
+        length: dict[int, int] = {}
+        how = via[v] = {}
+        best = length.get
         for e in out[v]:
-            down = front[e.head]
-            steps = [(e.base, 0, False)]
-            if e.cost <= budget:
-                steps.append((e.improved, e.cost, True))
-            for step, cost, imp in steps:
-                for w, (s, _, _) in down.items():
-                    s += cost
-                    w += step
-                    if s <= budget and s < cand.get(w, _UNSEEN)[0]:
-                        cand[w] = (s, e.id, imp)
-        kept, floor = {}, INF
-        for w in sorted(cand, reverse=not minimize):
-            if cand[w][0] < floor:
-                kept[w] = cand[w]
-                floor = cand[w][0]
-        front[v] = kept
-    src = front[dag.source]
-    w = min(src) if minimize else max(src)
+            down, eid, price = pairs[e.head], e.id, costs[e.id]
+            step = sign * e.base
+            for w, s in down:
+                w += step
+                if w < best(s, INF):
+                    length[s] = w
+                    how[s] = (eid, False)
+            step, room = sign * e.improved, budget - price
+            for w, s in down:
+                if s > room:
+                    break
+                w += step
+                s += price
+                if w < best(s, INF):
+                    length[s] = w
+                    how[s] = (eid, True)
+        kept, floor = [], INF
+        for s in sorted(length):
+            if length[s] < floor:
+                floor = length[s]
+                kept.append((floor, s))
+        pairs[v] = kept
+    s = pairs[dag.source][-1][1]
     v, edge_ids, improved = dag.source, [], []
     while v != dag.sink:
-        _, eid, imp = front[v][w]
-        e = dag.edges[eid]
+        eid, imp = via[v][s]
         edge_ids.append(eid)
         improved.append(imp)
-        w -= e.improved if imp else e.base
-        v = e.head
-    return _path(dag, edge_ids, improved)
+        s -= costs[eid] if imp else 0
+        v = dag.edges[eid].head
+    return edge_ids, improved
+
+
+def _uniform(dag: DagInstance, b: int, minimize: bool) -> PathSolution:
+    """At most b improved edges, whatever they cost: every upgrade is priced 1."""
+    _require(dag, b, minimize, "improvement count")
+    if len({e.cost for e in dag.edges}) > 1:
+        raise ValueError("uniform solver needs equal improvement costs on all edges")
+    return _path(dag, *_frontier_dp(dag, min(b, dag.n - 1), minimize, [1] * dag.m))
+
+
+def _budget(dag: DagInstance, budget: int, minimize: bool) -> PathSolution:
+    _require(dag, budget, minimize, "budget")
+    return _path(dag, *_frontier_dp(dag, budget, minimize, [e.cost for e in dag.edges]))
 
 
 def wildag_uniform(dag: DagInstance, b: int) -> PathSolution:
     """Longest path using at most b improved edges (uniform costs)."""
-    return _uniform_dp(dag, b, minimize=False)
+    return _uniform(dag, b, minimize=False)
 
 
 def wisdag_uniform(dag: DagInstance, b: int) -> PathSolution:
     """Shortest path using at most b improved edges (uniform costs)."""
-    return _uniform_dp(dag, b, minimize=True)
+    return _uniform(dag, b, minimize=True)
 
 
 def wildag_budget_exact(dag: DagInstance, budget: int) -> PathSolution:
     """Exact budgeted longest path: largest length w with L(s, w) <= budget."""
-    return _budget_dp(dag, budget, minimize=False)
+    return _budget(dag, budget, minimize=False)
 
 
 def wisdag_budget_exact(dag: DagInstance, budget: int) -> PathSolution:
     """Exact budgeted shortest path: smallest length w with L(s, w) <= budget."""
-    return _budget_dp(dag, budget, minimize=True)
+    return _budget(dag, budget, minimize=True)
 
 
-def _scaled_dag(dag: DagInstance, k: int, budget: int, ceiling: bool) -> DagInstance:
+def _fptas(dag: DagInstance, budget: int, eps: Fraction, unit: int,
+           minimize: bool) -> PathSolution:
+    """Budget DP over lengths scaled by K = max(1, floor(eps*unit/n)).
+
+    Lengths are floored for longest paths and ceiled for shortest ones.
+    Upgrades costing more than the whole budget become no-ops before scaling;
+    their flags are dropped afterwards, so the reported spend never counts one.
+    """
+    k = max(1, (eps.numerator * unit) // (eps.denominator * dag.n))
+
     def scale(x: int) -> int:
-        return -(-x // k) if ceiling else x // k
+        return -(-x // k) if minimize else x // k
 
     edges = []
     for e in dag.edges:
-        improved = e.improved if e.cost <= budget else e.base
-        cost = e.cost if e.cost <= budget else 0
-        edges.append(DagEdge(e.id, e.tail, e.head, scale(e.base), scale(improved), cost))
-    return DagInstance(dag.n, tuple(edges), dag.source, dag.sink)
+        fits = e.cost <= budget
+        edges.append(DagEdge(e.id, e.tail, e.head, scale(e.base),
+                             scale(e.improved if fits else e.base), e.cost if fits else 0))
+    scaled = DagInstance(dag.n, tuple(edges), dag.source, dag.sink)
+    edge_ids, flags = _frontier_dp(scaled, budget, minimize, [e.cost for e in edges])
+    return _path(dag, edge_ids, [imp and dag.edges[eid].cost <= budget
+                                 for eid, imp in zip(edge_ids, flags)])
 
 
 def wildag_fptas(dag: DagInstance, budget: int, eps) -> PathSolution:
@@ -207,12 +190,8 @@ def wildag_fptas(dag: DagInstance, budget: int, eps) -> PathSolution:
     eps = _as_fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    require_valid(dag)
-    w_unit = dag.effective_max_length(budget)
-    k = max(1, (eps.numerator * w_unit) // (eps.denominator * dag.n))
-    scaled = _budget_dp(_scaled_dag(dag, k, budget, ceiling=False), budget,
-                        minimize=False)
-    return _rescore(dag, scaled, budget)
+    _require(dag, budget, False, "budget")
+    return _fptas(dag, budget, eps, dag.effective_max_length(budget), minimize=False)
 
 
 def wisdag_fptas(dag: DagInstance, budget: int, eps) -> PathSolution:
@@ -224,43 +203,12 @@ def wisdag_fptas(dag: DagInstance, budget: int, eps) -> PathSolution:
     eps = _as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    require_valid(dag, improvement="decrease")
-    lower = _free_improvement_shortest(dag, budget)
-    k = max(1, (eps.numerator * lower) // (eps.denominator * dag.n))
-    scaled = _budget_dp(_scaled_dag(dag, k, budget, ceiling=True), budget,
-                        minimize=True)
-    return _rescore(dag, scaled, budget)
+    _require(dag, budget, True, "budget")
+    return _fptas(dag, budget, eps, _free_improvement_shortest(dag, budget), minimize=True)
 
 
 def _free_improvement_shortest(dag: DagInstance, budget: int) -> int:
-    """Shortest source-sink path if affordable improvements cost nothing."""
-    order = dag.topological_order()
-    to_t = reaching_to(dag, dag.sink)
-    dist = {v: INF for v in to_t}
-    dist[dag.sink] = 0
-    out: dict[int, list[DagEdge]] = {}
-    for e in dag.edges:
-        if e.head in to_t:
-            out.setdefault(e.tail, []).append(e)
-    for v in reversed(order):
-        if v == dag.sink or v not in to_t:
-            continue
-        for e in out.get(v, ()):
-            w = min(e.base, e.improved) if e.cost <= budget else e.base
-            if dist[e.head] != INF:
-                dist[v] = min(dist[v], dist[e.head] + w)
-    if dist.get(dag.source, INF) == INF:
-        raise NoPathError("no source-sink path")
-    return dist[dag.source]
-
-
-def _rescore(dag: DagInstance, scaled: PathSolution, budget: int) -> PathSolution:
-    """Re-evaluate a scaled-instance path in original units.
-
-    Improvement flags on edges whose upgrade alone exceeds the budget were
-    clamped to no-ops before scaling; drop them here so the reported spend
-    never counts an unaffordable upgrade.
-    """
-    flags = [imp and dag.edges[eid].cost <= budget
-             for eid, imp in zip(scaled.edge_ids, scaled.improved)]
-    return _path(dag, scaled.edge_ids, flags)
+    """Shortest source-sink path if affordable improvements cost nothing:
+    the frontier DP at budget 0, the other upgrades priced out of reach."""
+    free = [0 if e.cost <= budget else 1 for e in dag.edges]
+    return evaluate_path(dag, *_frontier_dp(dag, 0, True, free))[0]

@@ -25,6 +25,7 @@ from .instances import (
     TreeSolution,
     UpgradableEdge,
     UpgradableGraph,
+    choices_from_copies,
     expand_to_multigraph,
     require_valid,
     solution_from_choices,
@@ -161,9 +162,7 @@ def _cached_two_cost(shifted: UpgradableGraph, budget: int, eps_prime: Fraction)
     hit = _TWO_COST_CACHE.get(key)
     if hit is None:
         mg = expand_to_multigraph(shifted)
-        res = two_cost_mst(mg, budget, eps_prime)
-        by_id = {c.copy_id: c for c in mg.copies}
-        hit = {by_id[i].edge_id: by_id[i].level for i in res.copy_ids}
+        hit = choices_from_copies(mg, two_cost_mst(mg, budget, eps_prime).copy_ids)
         if len(_TWO_COST_CACHE) >= _TWO_COST_CACHE_MAX:
             _TWO_COST_CACHE.pop(next(iter(_TWO_COST_CACHE)))
         _TWO_COST_CACHE[key] = hit

@@ -211,6 +211,10 @@ def is_connected(n: int, pairs) -> bool:
     return uf.components() == 1
 
 
+# solvers look edges up by id as edges[edge_id]
+_NOT_DENSE = "edge ids are not dense in [0, m) in list order (edges[i].id == i)"
+
+
 def _validate_graph(graph: UpgradableGraph) -> list[str]:
     bad: list[str] = []
     if graph.n < 1:
@@ -242,8 +246,8 @@ def _validate_graph(graph: UpgradableGraph) -> list[str]:
             bad.append(f"edge {e.id}: ladder lengths not monotone")
         if not all(a <= b for a, b in zip(costs, costs[1:])):
             bad.append(f"edge {e.id}: ladder costs not nondecreasing")
-    if seen_ids != set(range(len(graph.edges))):
-        bad.append("edge ids are not dense in [0, m)")
+    if any(e.id != i for i, e in enumerate(graph.edges)):
+        bad.append(_NOT_DENSE)
     if not is_connected(graph.n, ((e.u, e.v) for e in graph.edges)):
         bad.append("not connected")
     return bad
@@ -267,8 +271,8 @@ def _validate_dag(dag: DagInstance, improvement: str) -> list[str]:
             bad.append(f"edge {e.id}: improved length below base length")
         if improvement == "decrease" and e.improved > e.base:
             bad.append(f"edge {e.id}: improved length above base length")
-    if seen_ids != set(range(len(dag.edges))):
-        bad.append("edge ids are not dense in [0, m)")
+    if any(e.id != i for i, e in enumerate(dag.edges)):
+        bad.append(_NOT_DENSE)
     if not (0 <= dag.source < dag.n and 0 <= dag.sink < dag.n):
         bad.append("source or sink out of range")
         return bad
@@ -327,9 +331,13 @@ def solution_from_choices(graph: UpgradableGraph, choices: dict[int, int]) -> Tr
     return TreeSolution(dict(choices), length, spend)
 
 
-def solution_from_copies(graph: UpgradableGraph, copies) -> TreeSolution:
-    """Map a multigraph tree (iterable of EdgeCopy) back to a TreeSolution."""
-    return solution_from_choices(graph, {c.edge_id: c.level for c in copies})
+def choices_from_copies(mg: MultiGraph, copy_ids) -> dict[int, int]:
+    """Map multigraph copy ids back to edge_id -> level choices.
+
+    ``expand_to_multigraph`` numbers copies densely, so ``mg.copies[i]`` is
+    the copy with id i.
+    """
+    return {mg.copies[i].edge_id: mg.copies[i].level for i in copy_ids}
 
 
 def evaluate_path(dag: DagInstance, edge_ids, improved) -> tuple[int, int]:

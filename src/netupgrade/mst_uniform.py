@@ -8,7 +8,6 @@ improvement cap k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from ._util import UnionFind
@@ -22,12 +21,6 @@ from .instances import (
 
 # weighted edges are (edge_id, u, v, weight) tuples
 WeightedEdge = tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class CappedForest:
-    edge_ids: tuple[int, ...]
-    cap: int
 
 
 def _greedy(n: int, edges: Sequence[WeightedEdge], cap: int | None,
@@ -51,11 +44,11 @@ def max_spanning_tree(n: int, edges: Sequence[WeightedEdge]) -> list[int]:
     return chosen
 
 
-def max_forest_capped(n: int, edges: Sequence[WeightedEdge], k: int) -> CappedForest:
-    """Greedy maximum forest with at most k edges."""
+def max_forest_capped(n: int, edges: Sequence[WeightedEdge], k: int) -> tuple[int, ...]:
+    """Edge ids of the greedy maximum forest with at most k edges."""
     if k < 0:
         raise ValueError("cap must be nonnegative")
-    return CappedForest(tuple(_greedy(n, edges, k)), k)
+    return tuple(_greedy(n, edges, k))
 
 
 def extend_forest_to_tree(n: int, forest_ids, all_edges: Sequence[WeightedEdge],
@@ -98,8 +91,9 @@ def uimst_half_approx(graph: UpgradableGraph, k: int) -> TreeSolution:
     sol1 = solution_from_choices(graph, {eid: 0 for eid in tree1})
 
     forest = max_forest_capped(graph.n, improved, k)
-    tree2 = extend_forest_to_tree(graph.n, forest.edge_ids, improved, base)
-    choices2 = {eid: (1 if eid in set(forest.edge_ids) else 0) for eid in tree2}
+    tree2 = extend_forest_to_tree(graph.n, forest, improved, base)
+    upgraded = set(forest)
+    choices2 = {eid: int(eid in upgraded) for eid in tree2}
     sol2 = solution_from_choices(graph, choices2)
 
     # on a tie prefer the improved-forest tree

@@ -8,8 +8,10 @@ Layout (keys in this order, compact separators, UTF-8):
 
 "source"/"sink" appear only for "wildag"; its ladders have exactly two
 entries [[l,0],[h,q]].  Edges are sorted by id and ladders by level, so
-serialize(parse(serialize(x))) is byte-identical.  "n" is at most
-MAX_VERTICES, so validation and the solvers' per-vertex arrays stay small.
+serialize(parse(serialize(x))) is byte-identical.  ``parse`` accepts edges in
+any order and stores them sorted by id, because solvers look an edge up as
+``edges[id]``.  "n" is at most MAX_VERTICES, so validation and the solvers'
+per-vertex arrays stay small.
 """
 
 from __future__ import annotations
@@ -99,9 +101,9 @@ def parse(data: bytes | str) -> Problem:
     if kind == "imst":
         if _want(doc, "directed", bool, "$"):
             raise FormatError('"imst" instances must have "directed": false', "$.directed")
-        graph = UpgradableGraph(n, tuple(
-            UpgradableEdge(eid, u, v, tuple(ImprovementLevel(l, c) for l, c in steps))
-            for eid, u, v, steps in edges))
+        graph = UpgradableGraph(n, tuple(sorted(
+            (UpgradableEdge(eid, u, v, tuple(ImprovementLevel(l, c) for l, c in steps))
+             for eid, u, v, steps in edges), key=lambda e: e.id)))
         _require_valid(graph, "$")
         return Problem("imst", budget, graph=graph)
     source = _want(doc, "source", int, "$")
@@ -117,7 +119,7 @@ def parse(data: bytes | str) -> Problem:
         if c0 != 0:
             raise FormatError("level 0 must cost 0", f"$.edges[{i}].ladder")
         dag_edges.append(DagEdge(eid, u, v, l, h, q))
-    dag = DagInstance(n, tuple(dag_edges), source, sink)
+    dag = DagInstance(n, tuple(sorted(dag_edges, key=lambda e: e.id)), source, sink)
     _require_valid(dag, "$")
     return Problem("wildag", budget, dag=dag)
 

@@ -180,7 +180,7 @@ def _heavy_forests(heavy: list[EdgeCopy], n: int, budget: int):
     """All forests of heavy copies with total cost <= budget (incl. empty)."""
     out: list[list[EdgeCopy]] = []
 
-    def rec(i: int, picked: list[EdgeCopy], cost: int, uf_edges):
+    def rec(i: int, picked: list[EdgeCopy], cost: int):
         out.append(list(picked))
         for j in range(i, len(heavy)):
             c = heavy[j]
@@ -190,10 +190,10 @@ def _heavy_forests(heavy: list[EdgeCopy], n: int, budget: int):
             ok = all(uf.union(p.u, p.v) for p in picked) and uf.union(c.u, c.v)
             if ok:
                 picked.append(c)
-                rec(j + 1, picked, cost + c.cost, None)
+                rec(j + 1, picked, cost + c.cost)
                 picked.pop()
 
-    rec(0, [], 0, None)
+    rec(0, [], 0)
     return out
 
 

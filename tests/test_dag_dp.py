@@ -55,6 +55,22 @@ def test_uniform_diamond():
     assert wildag_uniform(d, 9).total_length == 8  # cap clips at n-1
 
 
+def test_uniform_caps_improvement_count_not_spend():
+    # free upgrades still count against b: one upgrade, not the two the
+    # budget-exact solver can afford at no spend
+    d = DagInstance(4, tuple(
+        DagEdge(e.id, e.tail, e.head, e.base, e.improved, 0)
+        for e in diamond().edges), 0, 3)
+    sol = wildag_uniform(d, 1)
+    assert (sol.total_length, sol.total_spend, sum(sol.improved)) == (6, 0, 1)
+    assert wildag_budget_exact(d, 1).total_length == 8
+    assert wildag_uniform(d, 2).total_length == 8
+    sol = wisdag_uniform(flip(d), 1)
+    assert (sol.total_length, sol.total_spend, sum(sol.improved)) == (3, 0, 1)
+    assert wisdag_uniform(flip(d), 0).total_length == 6
+    assert wisdag_budget_exact(flip(d), 0).total_length == 3
+
+
 def test_uniform_requires_equal_costs():
     with pytest.raises(ValueError, match="equal improvement costs"):
         wildag_uniform(diamond(), 1)
@@ -66,6 +82,15 @@ def test_unreachable_sink_rejected_up_front():
     d = DagInstance(3, (DagEdge(0, 0, 1, 1, 1, 0),), 0, 2)
     with pytest.raises(InvalidInstanceError, match="sink not reachable"):
         wildag_budget_exact(d, 5)
+
+
+def test_spends_above_2_to_the_60_are_kept():
+    # no finite sentinel caps spends or lengths: integers are unbounded
+    big = 1 << 61
+    d = DagInstance(2, (DagEdge(0, 0, 1, 1, 5, big),), 0, 1)
+    assert wildag_budget_exact(d, big).total_length == 5
+    assert wisdag_budget_exact(flip(d), big).total_length == 1
+    assert wildag_budget_exact(d, big - 1).total_length == 1
 
 
 def test_negative_budget_rejected():
@@ -92,10 +117,11 @@ def test_uniform_matches_oracle(seed, n, b):
 @given(st.integers(0, 20_000), st.integers(3, 8), st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
 def test_uniform_and_budget_agree_at_unit_costs(seed, n, b):
+    # one frontier DP at unit prices: the same path, flags and totals
     m = min(n * (n - 1) // 2, n + 2)
     dag = generate.gen_random_dag(n, m, max_len=8, seed=seed, uniform_cost=1)
-    assert (wildag_uniform(dag, b).total_length
-            == wildag_budget_exact(dag, b).total_length)
+    assert wildag_uniform(dag, b) == wildag_budget_exact(dag, b)
+    assert wisdag_uniform(flip(dag), b) == wisdag_budget_exact(flip(dag), b)
 
 
 @given(st.integers(0, 20_000), st.integers(3, 8), st.integers(0, 14))

@@ -2,13 +2,19 @@
 
 Two independent references: networkx DAG path lengths at the two budget
 extremes (only free upgrades, every upgrade at once), and a plain
-spend-indexed DP for budgets in between.
+spend-indexed DP for budgets in between and for the uniform solvers at unit
+prices.
 """
 
 import pytest
 
 from netupgrade import generate
-from netupgrade.dag_dp import wildag_budget_exact, wisdag_budget_exact
+from netupgrade.dag_dp import (
+    wildag_budget_exact,
+    wildag_uniform,
+    wisdag_budget_exact,
+    wisdag_uniform,
+)
 from netupgrade.instances import DagEdge, DagInstance, evaluate_path
 
 nx = pytest.importorskip("networkx")
@@ -106,6 +112,21 @@ def test_mid_budgets_match_spend_indexed_dp(seed):
         sol = wisdag_budget_exact(flipped, budget)
         check(sol, flipped, budget)
         assert sol.total_length == spend_indexed(flipped, budget, minimize=True)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_uniform_matches_spend_indexed_dp_at_unit_prices(seed):
+    # with every upgrade priced 1, spend is the number of improved edges
+    dag = instance(seed)
+    unit = DagInstance(dag.n, tuple(
+        DagEdge(e.id, e.tail, e.head, e.base, e.improved, 1)
+        for e in dag.edges), dag.source, dag.sink)
+    for b in (0, 3, dag.n - 1):
+        for solve, d, minimize in ((wildag_uniform, unit, False),
+                                   (wisdag_uniform, flip(unit), True)):
+            sol = solve(d, b)
+            check(sol, d, b)
+            assert sol.total_length == spend_indexed(d, b, minimize)
 
 
 def test_long_chain_with_huge_lengths_solves():

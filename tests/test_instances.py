@@ -57,6 +57,19 @@ def test_duplicate_and_sparse_edge_ids():
     assert any("not dense" in v for v in bad)
 
 
+def test_edges_out_of_id_order_rejected():
+    # dense ids, but solvers would read edges[0] as the edge with id 1
+    g = UpgradableGraph(3, (
+        UpgradableEdge(1, 1, 2, (lvl(1, 0),)),
+        UpgradableEdge(0, 0, 1, (lvl(1, 0),)),
+    ))
+    d = DagInstance(3, (DagEdge(1, 1, 2, 2, 3, 1), DagEdge(0, 0, 1, 4, 5, 1)), 0, 2)
+    for instance in (g, d):
+        assert any("edges[i].id == i" in v for v in validate(instance))
+        with pytest.raises(InvalidInstanceError):
+            require_valid(instance)
+
+
 def test_require_valid_raises_with_all_violations():
     g = UpgradableGraph(2, (UpgradableEdge(0, 0, 0, (lvl(1, 1),)),))
     with pytest.raises(InvalidInstanceError) as exc:

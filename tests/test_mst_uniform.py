@@ -30,8 +30,8 @@ def test_max_spanning_tree_disconnected():
 
 def test_capped_forest_respects_cap():
     edges = [(0, 0, 1, 5), (1, 1, 2, 4), (2, 2, 3, 3)]
-    assert max_forest_capped(4, edges, 2).edge_ids == (0, 1)
-    assert max_forest_capped(4, edges, 0).edge_ids == ()
+    assert max_forest_capped(4, edges, 2) == (0, 1)
+    assert max_forest_capped(4, edges, 0) == ()
 
 
 def test_extend_forest_keeps_forest_edges():

@@ -147,3 +147,39 @@ def test_oversized_vertex_count_is_a_format_error(n):
                "source": 0, "sink": 1, "directed": True}
     with pytest.raises(FormatError, match="vertex count"):
         parse(json.dumps(dag_doc))
+
+
+def _reversed_edges(data: bytes) -> bytes:
+    doc = json.loads(data)
+    doc["edges"].reverse()
+    return json.dumps(doc, separators=(",", ":")).encode()
+
+
+def test_parse_orders_imst_edges_by_id():
+    from netupgrade.mst_uniform import uimst_half_approx
+
+    p = parse(_reversed_edges(IMST_DOC))
+    assert [e.id for e in p.graph.edges] == [0, 1, 2]
+    assert p == parse(IMST_DOC)
+    assert serialize(p) == IMST_DOC
+    two_level = (b'{"kind":"imst","n":3,"budget":1,'
+                 b'"edges":[{"id":0,"u":0,"v":1,"ladder":[[1,0],[4,2]]},'
+                 b'{"id":1,"u":1,"v":2,"ladder":[[2,0],[3,1]]},'
+                 b'{"id":2,"u":0,"v":2,"ladder":[[5,0],[6,1]]}],"directed":false}')
+    sol = uimst_half_approx(parse(_reversed_edges(two_level)).graph, 1)
+    assert sol.choices == {1: 0, 2: 1}
+    assert (sol.total_length, sol.total_spend) == (8, 1)
+
+
+def test_parse_orders_dag_edges_by_id():
+    from netupgrade.dag_dp import wildag_budget_exact
+
+    doc = {"kind": "wildag", "n": 3, "budget": 1,
+           "edges": [{"id": 1, "u": 1, "v": 2, "ladder": [[2, 0], [3, 1]]},
+                     {"id": 0, "u": 0, "v": 1, "ladder": [[4, 0], [5, 1]]}],
+           "source": 0, "sink": 2, "directed": True}
+    p = parse(json.dumps(doc))
+    assert [e.id for e in p.dag.edges] == [0, 1]
+    sol = wildag_budget_exact(p.dag, 1)
+    assert sol.edge_ids == (0, 1)
+    assert (sol.total_length, sol.total_spend) == (7, 1)
