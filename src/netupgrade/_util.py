@@ -49,8 +49,5 @@ class UnionFind:
             self.rank[ru] += 1
         return True
 
-    def connected(self, u: int, v: int) -> bool:
-        return self.find(u) == self.find(v)
-
     def components(self) -> int:
         return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)

@@ -125,12 +125,13 @@ def parse(data: bytes | str) -> Problem:
 
 
 def _require_valid(instance, location: str) -> None:
-    violations = validate(instance)
-    if isinstance(instance, DagInstance) and violations:
-        # shortest-path instances store decreasing ladders in the same format
-        if not validate(instance, improvement="decrease"):
-            violations = []
-    if violations:
+    # shortest-path instances store decreasing ladders in the same format
+    improvement = "increase"
+    if isinstance(instance, DagInstance) and any(e.improved < e.base for e in instance.edges):
+        improvement = "decrease"
+    if validate(instance, improvement=improvement):
+        # errors are reported against the longest-path rules in either case
+        violations = validate(instance)
         raise FormatError("invalid instance: " + "; ".join(violations), location)
 
 

@@ -5,10 +5,13 @@ length >= OPT(B) and cost <= (1+eps)*B.  The scheme:
 
 1. Enumerate every forest S of "heavy" copies (individual cost > eps*B)
    with c(S) <= B; contract S and delete the remaining heavy copies.
-2. On the residual instance (all copies cheap), binary-search the Lagrangian
-   multiplier of the budget constraint over exact rationals.  Either the
-   unconstrained optimum is feasible, or two optimal trees bracket the budget
-   at the same multiplier.
+2. On the residual instance (all copies cheap), find the Lagrangian
+   multiplier of the budget constraint by a chord (Newton) search on the
+   piecewise-linear dual over exact rationals.  Either the unconstrained
+   optimum is feasible, or two optimal trees bracket the budget at the same
+   multiplier.  A forest is skipped when its length plus its longest residual
+   tree (the tree at multiplier 0) is strictly below the longest tree found
+   so far, since that sum bounds every tree the forest can yield.
 3. Walk a chain of single edge exchanges between the bracketing trees; every
    intermediate tree is Lagrangian-optimal, so the first tree whose cost
    exceeds the residual budget has length >= OPT while overshooting the
@@ -52,11 +55,6 @@ class TwoCostResult:
     cost: int
 
 
-def _combined_key(copy: EdgeCopy, lam: Fraction) -> int:
-    # q*l - p*c is an exact integer proxy for l - lambda*c with lambda = p/q
-    return lam.denominator * copy.length - lam.numerator * copy.cost
-
-
 def lagrangian_tree(mg: MultiGraph, lam: Fraction, budget: int) -> LagrangianPoint:
     """Maximum spanning tree under the combined weight l - lambda*c.
 
@@ -66,7 +64,9 @@ def lagrangian_tree(mg: MultiGraph, lam: Fraction, budget: int) -> LagrangianPoi
     if lam < 0:
         raise ValueError("multiplier must be nonnegative")
     lam = Fraction(lam)
-    order = sorted(mg.copies, key=lambda c: (-_combined_key(c, lam), c.cost, c.copy_id))
+    # p*c - q*l orders copies as lambda*c - l does, in exact integers
+    p, q = lam.numerator, lam.denominator
+    order = sorted(mg.copies, key=lambda c: (p * c.cost - q * c.length, c.cost, c.copy_id))
     uf = UnionFind(mg.n)
     chosen = []
     for c in order:
@@ -83,42 +83,46 @@ def lagrangian_tree(mg: MultiGraph, lam: Fraction, budget: int) -> LagrangianPoi
 
 
 def lambda_search(mg: MultiGraph, budget: int) -> LambdaSearchResult:
-    """Binary search for the multiplier where optimal tree cost crosses B.
+    """Chord search for the multiplier where optimal tree cost crosses B.
 
     Precondition: the zero-cost copies alone span the graph, so a
     budget-feasible tree always exists.  Returns either an exact hit (the
     unconstrained optimum fits the budget) or a bracketing pair of trees both
     optimal at the crossing multiplier.
     """
-    at_zero = lagrangian_tree(mg, Fraction(0), budget)
-    if at_zero.cost <= budget:
-        return LambdaSearchResult(exact=at_zero)
-    total_len = sum(c.length for c in mg.copies)
+    return _search_from(mg, budget, lagrangian_tree(mg, Fraction(0), budget))
+
+
+def _search_from(mg: MultiGraph, budget: int, p_lo: LagrangianPoint) -> LambdaSearchResult:
+    """lambda_search after its first solve, p_lo = the tree at multiplier 0."""
+    if p_lo.cost <= budget:
+        return LambdaSearchResult(exact=p_lo)
     total_cost = sum(c.cost for c in mg.copies)
-    lo, p_lo = Fraction(0), at_zero
-    hi = Fraction(total_len + 1)
-    p_hi = lagrangian_tree(mg, hi, budget)
+    p_hi = lagrangian_tree(mg, Fraction(sum(c.length for c in mg.copies) + 1), budget)
     if p_hi.cost > budget:
         raise DisconnectedGraphError("no budget-feasible spanning tree")
-    # candidate breakpoints are ratios of integer differences with
-    # denominators <= total_cost, so they are separated by > 1/total_cost^2
-    sep = Fraction(1, 2 * (total_cost + 1) ** 2)
-    while hi - lo > sep:
-        mid = (lo + hi) / 2
-        p_mid = lagrangian_tree(mg, mid, budget)
-        if p_mid.cost > budget:
-            lo, p_lo = mid, p_mid
+    # chord (Newton) step on the piecewise-linear dual: where the lines of an over-
+    # and an under-budget optimum meet, both are optimal or a better tree is found
+    while True:
+        lam = Fraction(p_lo.length - p_hi.length, p_lo.cost - p_hi.cost)
+        under = lagrangian_tree(mg, lam, budget)
+        line = p_hi.length - lam * (p_hi.cost - budget)
+        if under.lagrangian_value == line:
+            break
+        assert under.lagrangian_value > line, "chord tree below the dual"
+        if under.cost > budget:
+            p_lo = under
         else:
-            hi, p_hi = mid, p_mid
-    lam_star = Fraction(p_lo.length - p_hi.length, p_lo.cost - p_hi.cost)
-    over = lagrangian_tree(mg, lam_star, budget)
-    under_val = Fraction(p_hi.length) - lam_star * (p_hi.cost - budget)
-    over_val = Fraction(p_lo.length) - lam_star * (p_lo.cost - budget)
-    assert under_val == over_val == over.lagrangian_value, \
+            p_hi = under
+    # breakpoints are ratios of integer differences with denominators
+    # <= total_cost, so they are separated by > 1/total_cost^2; just below
+    # lam the optimum is the over-budget tree left of the crossing
+    below = lagrangian_tree(mg, lam - Fraction(1, 2 * (total_cost + 1) ** 2), budget)
+    over_val = below.length - lam * (below.cost - budget)
+    assert below.cost > budget and over_val == under.lagrangian_value, \
         "bracketing trees are not both optimal at the crossing multiplier"
-    under = LagrangianPoint(lam_star, p_hi.copy_ids, p_hi.length, p_hi.cost, under_val)
-    over = LagrangianPoint(lam_star, p_lo.copy_ids, p_lo.length, p_lo.cost, over_val)
-    return LambdaSearchResult(lam_star=lam_star, under=under, over=over)
+    over = LagrangianPoint(lam, below.copy_ids, below.length, below.cost, over_val)
+    return LambdaSearchResult(lam_star=lam, under=under, over=over)
 
 
 def _tree_path(copies_by_id, tree_ids, a: int, b: int) -> list[int]:
@@ -148,7 +152,8 @@ def swap_chain(mg: MultiGraph, under: LagrangianPoint, over: LagrangianPoint,
     between two optima of the same matroid weighting.
     """
     copies_by_id = {c.copy_id: c for c in mg.copies}
-    weight = {cid: _combined_key(copies_by_id[cid], lam_star) for cid in copies_by_id}
+    p, q = lam_star.numerator, lam_star.denominator
+    weight = {c.copy_id: q * c.length - p * c.cost for c in mg.copies}
     current = set(under.copy_ids)
     target = set(over.copy_ids)
     chain = [tuple(sorted(current))]
@@ -177,24 +182,27 @@ def _totals(copies_by_id, ids) -> tuple[int, int]:
 
 
 def _heavy_forests(heavy: list[EdgeCopy], n: int, budget: int):
-    """All forests of heavy copies with total cost <= budget (incl. empty)."""
-    out: list[list[EdgeCopy]] = []
+    """Yield (forest, labels) for every heavy forest with cost <= budget (incl. empty).
 
-    def rec(i: int, picked: list[EdgeCopy], cost: int):
-        out.append(list(picked))
+    labels[v] is the rank of v's component, components ordered by smallest
+    vertex, so labels are dense in [0, n - len(forest)).
+    """
+    picked: list[EdgeCopy] = []
+
+    def rec(i: int, cost: int, labels: list[int]):
+        yield tuple(picked), labels
         for j in range(i, len(heavy)):
             c = heavy[j]
-            if cost + c.cost > budget:
+            a, b = sorted((labels[c.u], labels[c.v]))
+            if cost + c.cost > budget or a == b:
                 continue
-            uf = UnionFind(n)
-            ok = all(uf.union(p.u, p.v) for p in picked) and uf.union(c.u, c.v)
-            if ok:
-                picked.append(c)
-                rec(j + 1, picked, cost + c.cost)
-                picked.pop()
+            picked.append(c)
+            # merge component b into a; the ranks above b close the gap
+            yield from rec(j + 1, cost + c.cost,
+                           [a if x == b else x - (x > b) for x in labels])
+            picked.pop()
 
-    rec(0, [], 0)
-    return out
+    return rec(0, 0, list(range(n)))
 
 
 def two_cost_mst(mg: MultiGraph, budget: int, eps: Fraction) -> TwoCostResult:
@@ -210,8 +218,9 @@ def two_cost_mst(mg: MultiGraph, budget: int, eps: Fraction) -> TwoCostResult:
     light = [c for c in mg.copies if c.cost <= threshold]
 
     best: tuple[int, tuple[int, ...]] | None = None  # (length, sorted ids)
-    for subset in _heavy_forests(heavy, mg.n, budget):
-        ids = _solve_with_heavy_subset(mg.n, light, subset, budget)
+    for subset, labels in _heavy_forests(heavy, mg.n, budget):
+        ids = _solve_with_heavy_subset(light, subset, labels, budget,
+                                       None if best is None else best[0])
         if ids is None:
             continue
         length, _cost = _totals(copies_by_id, ids)
@@ -224,25 +233,26 @@ def two_cost_mst(mg: MultiGraph, budget: int, eps: Fraction) -> TwoCostResult:
     return TwoCostResult(best[1], length, cost)
 
 
-def _solve_with_heavy_subset(n: int, light: list[EdgeCopy], subset: list[EdgeCopy],
-                             budget: int) -> tuple[int, ...] | None:
-    """Contract the heavy forest, solve the cheap residual, map back."""
-    uf = UnionFind(n)
-    for c in subset:
-        uf.union(c.u, c.v)
-    roots = sorted({uf.find(v) for v in range(n)})
-    comp = {r: i for i, r in enumerate(roots)}
+def _solve_with_heavy_subset(light: list[EdgeCopy], subset: tuple[EdgeCopy, ...],
+                             labels: list[int], budget: int,
+                             incumbent: int | None) -> tuple[int, ...] | None:
+    """Contract the heavy forest, solve the cheap residual, map back (None: skip)."""
     residual_budget = budget - sum(c.cost for c in subset)
     subset_ids = tuple(c.copy_id for c in subset)
-    if len(roots) == 1:
+    k = len(labels) - len(subset)
+    if k == 1:
         return subset_ids
     res_copies = tuple(
-        EdgeCopy(c.copy_id, comp[uf.find(c.u)], comp[uf.find(c.v)],
-                 c.length, c.cost, c.edge_id, c.level)
-        for c in light if uf.find(c.u) != uf.find(c.v))
-    res = MultiGraph(len(roots), res_copies)
+        EdgeCopy(c.copy_id, labels[c.u], labels[c.v], c.length, c.cost, c.edge_id, c.level)
+        for c in light if labels[c.u] != labels[c.v])
+    res = MultiGraph(k, res_copies)
     try:
-        found = lambda_search(res, residual_budget)
+        at_zero = lagrangian_tree(res, Fraction(0), residual_budget)
+        # the tree at multiplier 0 is the longest residual tree, so it bounds
+        # every tree this forest can return, over-budget ones included
+        if incumbent is not None and sum(c.length for c in subset) + at_zero.length < incumbent:
+            return None
+        found = _search_from(res, residual_budget, at_zero)
     except DisconnectedGraphError:
         return None
     if found.exact is not None:

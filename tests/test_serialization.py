@@ -123,6 +123,39 @@ def test_wisdag_style_decreasing_ladders_accepted():
     assert p.dag.edges[0].base == 5 and p.dag.edges[0].improved == 2
 
 
+@pytest.mark.parametrize("edges,source_sink,message", [
+    # one edge improves upward, one downward: neither direction is valid
+    ([[0, 1, [[5, 0], [2, 1]]], [1, 2, [[4, 0], [6, 1]]]], (0, 2),
+     "$: invalid instance: edge 0: improved length below base length"),
+    ([[0, 1, [[5, 0], [2, 1]]], [1, 0, [[4, 0], [1, 1]]]], (0, 0),
+     "$: invalid instance: edge 0: improved length below base length; edge 1: "
+     "improved length below base length; source and sink must differ; not acyclic"),
+])
+def test_invalid_decreasing_dag_error_text(edges, source_sink, message):
+    # errors name the longest-path rules, whichever direction the ladders take
+    doc = {"kind": "wildag", "n": 3, "budget": 1,
+           "edges": [{"id": i, "u": u, "v": v, "ladder": ladder}
+                     for i, (u, v, ladder) in enumerate(edges)],
+           "source": source_sink[0], "sink": source_sink[1], "directed": True}
+    with pytest.raises(FormatError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+def test_decreasing_dag_is_validated_once(monkeypatch):
+    from netupgrade import serialization
+
+    calls = []
+    real = serialization.validate
+    monkeypatch.setattr(serialization, "validate",
+                        lambda *a, **k: calls.append(k) or real(*a, **k))
+    doc = {"kind": "wildag", "n": 2, "budget": 1,
+           "edges": [{"id": 0, "u": 0, "v": 1, "ladder": [[5, 0], [2, 1]]}],
+           "source": 0, "sink": 1, "directed": True}
+    parse(json.dumps(doc))
+    assert calls == [{"improvement": "decrease"}]
+
+
 @pytest.mark.parametrize("ladder,message", [
     ([[5, 0], [7, 1], [9, 2]], "exactly two levels"),
     ([[5, 1], [7, 1]], "level 0 must cost 0"),

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netupgrade import generate
+from netupgrade._util import UnionFind
 from netupgrade.instances import (
     DisconnectedGraphError,
     EdgeCopy,
@@ -13,6 +16,10 @@ from netupgrade.instances import (
 )
 from netupgrade.oracle import exact_two_cost
 from netupgrade.two_cost import (
+    LagrangianPoint,
+    LambdaSearchResult,
+    TwoCostResult,
+    _heavy_forests,
     lagrangian_tree,
     lambda_search,
     swap_chain,
@@ -108,3 +115,213 @@ def test_zero_budget_returns_free_tree_when_possible():
     res = two_cost_mst(mg, 0, Fraction(1, 2))
     assert res.cost == 0
     assert res.length == exact_two_cost(mg, 0)[0]
+
+
+# Reference: the bisection multiplier search and the eager, unpruned
+# enumeration the solver started from, written out here so that the chord
+# search, the pruning and the forest stream are pinned to their results.
+# It shares no code with the solver.
+
+def _ref_find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def _ref_tree(mg, lam, budget):
+    # p*c - q*l with lambda = p/q, read off the Fraction per copy: lambda*c - l scaled by q
+    order = sorted(mg.copies, key=lambda c: (
+        lam.numerator * c.cost - lam.denominator * c.length, c.cost, c.copy_id))
+    parent = list(range(mg.n))
+    chosen = []
+    for c in order:
+        ru, rv = _ref_find(parent, c.u), _ref_find(parent, c.v)
+        if ru != rv:
+            parent[ru] = rv
+            chosen.append(c)
+    if len(chosen) != mg.n - 1:
+        raise DisconnectedGraphError("multigraph is not connected")
+    length = sum(c.length for c in chosen)
+    cost = sum(c.cost for c in chosen)
+    return LagrangianPoint(lam, tuple(sorted(c.copy_id for c in chosen)), length, cost,
+                           Fraction(length) - lam * (cost - budget))
+
+
+def _ref_lambda_search(mg, budget):
+    at_zero = _ref_tree(mg, Fraction(0), budget)
+    if at_zero.cost <= budget:
+        return LambdaSearchResult(exact=at_zero)
+    total_cost = sum(c.cost for c in mg.copies)
+    lo, p_lo = Fraction(0), at_zero
+    hi = Fraction(sum(c.length for c in mg.copies) + 1)
+    p_hi = _ref_tree(mg, hi, budget)
+    if p_hi.cost > budget:
+        raise DisconnectedGraphError("no budget-feasible spanning tree")
+    sep = Fraction(1, 2 * (total_cost + 1) ** 2)
+    while hi - lo > sep:
+        mid = (lo + hi) / 2
+        p_mid = _ref_tree(mg, mid, budget)
+        if p_mid.cost > budget:
+            lo, p_lo = mid, p_mid
+        else:
+            hi, p_hi = mid, p_mid
+    lam = Fraction(p_lo.length - p_hi.length, p_lo.cost - p_hi.cost)
+    under_val = p_hi.length - lam * (p_hi.cost - budget)
+    over_val = p_lo.length - lam * (p_lo.cost - budget)
+    assert under_val == over_val == _ref_tree(mg, lam, budget).lagrangian_value
+    return LambdaSearchResult(
+        lam_star=lam,
+        under=LagrangianPoint(lam, p_hi.copy_ids, p_hi.length, p_hi.cost, under_val),
+        over=LagrangianPoint(lam, p_lo.copy_ids, p_lo.length, p_lo.cost, over_val))
+
+
+def _ref_swap_chain(mg, under, over, lam):
+    by_id = {c.copy_id: c for c in mg.copies}
+    weight = {cid: c.length - lam * c.cost for cid, c in by_id.items()}
+    current, target = set(under.copy_ids), set(over.copy_ids)
+    chain = [tuple(sorted(current))]
+    while current != target:
+        for f in sorted(target - current):
+            cf = by_id[f]
+            adjacency = {}
+            for cid in current:
+                c = by_id[cid]
+                adjacency.setdefault(c.u, []).append((c.v, cid))
+                adjacency.setdefault(c.v, []).append((c.u, cid))
+            stack, cycle = [(cf.u, -1, [])], None
+            while cycle is None:
+                v, via, path = stack.pop()
+                if v == cf.v:
+                    cycle = path
+                for w, cid in adjacency.get(v, ()):
+                    if cid != via:
+                        stack.append((w, cid, path + [cid]))
+            swappable = [g for g in cycle if g not in target and weight[g] == weight[f]]
+            if swappable:
+                current.remove(min(swappable))
+                current.add(f)
+                chain.append(tuple(sorted(current)))
+                break
+        else:
+            raise AssertionError("no weight-preserving exchange")
+    return chain
+
+
+def _ref_two_cost_mst(mg, budget, eps):
+    threshold = eps * budget
+    heavy = sorted((c for c in mg.copies if c.cost > threshold), key=lambda c: c.copy_id)
+    light = [c for c in mg.copies if c.cost <= threshold]
+    forests = []
+
+    def rec(i, picked, cost):
+        forests.append(list(picked))
+        for j in range(i, len(heavy)):
+            c = heavy[j]
+            parent = list(range(mg.n))
+            acyclic = True
+            for p in picked + [c]:
+                ru, rv = _ref_find(parent, p.u), _ref_find(parent, p.v)
+                acyclic = acyclic and ru != rv
+                parent[ru] = rv
+            if cost + c.cost <= budget and acyclic:
+                rec(j + 1, picked + [c], cost + c.cost)
+
+    rec(0, [], 0)
+    by_id = {c.copy_id: c for c in mg.copies}
+    best = None
+    for subset in forests:
+        parent = list(range(mg.n))
+        for c in subset:
+            parent[_ref_find(parent, c.u)] = _ref_find(parent, c.v)
+        roots = sorted({_ref_find(parent, v) for v in range(mg.n)})
+        comp = {r: i for i, r in enumerate(roots)}
+        rest = budget - sum(c.cost for c in subset)
+        ids = tuple(c.copy_id for c in subset)
+        if len(roots) > 1:
+            res = MultiGraph(len(roots), tuple(
+                EdgeCopy(c.copy_id, comp[_ref_find(parent, c.u)], comp[_ref_find(parent, c.v)],
+                         c.length, c.cost, c.edge_id, c.level)
+                for c in light if _ref_find(parent, c.u) != _ref_find(parent, c.v)))
+            try:
+                found = _ref_lambda_search(res, rest)
+            except DisconnectedGraphError:
+                continue
+            if found.exact is not None:
+                ids += found.exact.copy_ids
+            else:
+                res_by_id = {c.copy_id: c for c in res.copies}
+                ids += next(t for t in _ref_swap_chain(res, found.under, found.over,
+                                                        found.lam_star)
+                            if sum(res_by_id[i].cost for i in t) > rest)
+        key = (sum(by_id[i].length for i in ids), tuple(sorted(ids)))
+        if best is None or key[0] > best[0] or (key[0] == best[0] and key[1] < best[1]):
+            best = key
+    if best is None:
+        raise DisconnectedGraphError("no budget-feasible spanning tree")
+    return TwoCostResult(best[1], best[0], sum(by_id[i].cost for i in best[1]))
+
+
+def _random_mg(rng, n, max_cost=6):
+    m = rng.randint(n - 1, min(n * (n - 1) // 2, n + n // 2 + 1))
+    g = generate.gen_random_graph(n, m, max_len=rng.choice([9, 40]), max_cost=max_cost,
+                                  levels=rng.choice([2, 3]), seed=rng.randrange(1 << 30))
+    return expand_to_multigraph(g)
+
+
+def test_lambda_search_matches_bisection_reference():
+    rng = random.Random(4242)
+    binding = 0
+    for _ in range(300):
+        mg = _random_mg(rng, rng.randint(4, 20))
+        zero_cost = lagrangian_tree(mg, Fraction(0), 0).cost
+        budgets = [zero_cost, rng.randrange(zero_cost)] if zero_cost else [0]
+        for budget in budgets:
+            found = lambda_search(mg, budget)
+            assert found == _ref_lambda_search(mg, budget), (mg, budget)
+            binding += found.exact is None
+    assert binding >= 250
+
+
+def test_two_cost_mst_matches_eager_reference_with_heavy_copies():
+    rng = random.Random(777)
+    for h in [2, 3, 4, 5, 6, 7, 8] * 2:
+        while True:
+            mg = _random_mg(rng, rng.randint(10, 16), max_cost=30)
+            eps = rng.choice([Fraction(1, 2), Fraction(1, 4)])
+            costs = sorted((c.cost for c in mg.copies), reverse=True)
+            # eps*budget in [costs[h], costs[h-1]) leaves exactly h heavy copies
+            budget = -(-costs[h] // eps)
+            if eps * budget < costs[h - 1]:
+                break
+        assert sum(c.cost > eps * budget for c in mg.copies) == h
+        assert two_cost_mst(mg, budget, eps) == _ref_two_cost_mst(mg, budget, eps)
+
+
+def test_heavy_forests_stream_matches_brute_force():
+    rng = random.Random(99)
+    for _ in range(40):
+        mg = _random_mg(rng, rng.randint(3, 9))
+        heavy = [c for c in mg.copies if c.cost > 2][:10]
+        budget = rng.randint(0, 16)
+        streamed = {}
+        for subset, labels in _heavy_forests(heavy, mg.n, budget):
+            ids = tuple(c.copy_id for c in subset)
+            assert ids not in streamed
+            streamed[ids] = labels
+        expected = set()
+        for size in range(len(heavy) + 1):
+            for subset in itertools.combinations(heavy, size):
+                uf = UnionFind(mg.n)
+                if (all(uf.union(c.u, c.v) for c in subset)
+                        and sum(c.cost for c in subset) <= budget):
+                    expected.add(tuple(c.copy_id for c in subset))
+        assert set(streamed) == expected
+        by_id = {c.copy_id: c for c in mg.copies}
+        for ids, labels in streamed.items():
+            uf = UnionFind(mg.n)
+            for i in ids:
+                uf.union(by_id[i].u, by_id[i].v)
+            # components ranked by their smallest vertex
+            rank = {}
+            assert labels == [rank.setdefault(uf.find(v), len(rank)) for v in range(mg.n)]
+            assert len(rank) == mg.n - len(ids)

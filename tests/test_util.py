@@ -21,7 +21,7 @@ def test_union_find_basics():
     assert uf.union(0, 1)
     assert not uf.union(1, 0)
     assert uf.union(2, 3)
-    assert uf.connected(0, 1) and not uf.connected(0, 2)
+    assert uf.find(0) == uf.find(1) and uf.find(0) != uf.find(2)
     uf.union(1, 3)
-    assert uf.connected(0, 2)
+    assert uf.find(0) == uf.find(2)
     assert uf.components() == 2
