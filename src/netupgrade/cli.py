@@ -23,18 +23,13 @@ from .instances import (
     InvalidInstanceError,
     choices_from_copies,
     expand_to_multigraph,
+    solution_from_choices,
 )
 from .serialization import FormatError, Problem, instance_hash, parse, serialize
 
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_ORACLE = 4
-
-TREE_ALGOS = ("uimst", "twocost", "imst", "exact-imst", "exact-twocost")
-DAG_ALGOS = ("wildag-uniform", "wildag-exact", "wildag-fptas",
-             "wisdag-uniform", "wisdag-exact", "wisdag-fptas",
-             "exact-wildag", "exact-wisdag")
-
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -92,20 +87,30 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _tree_edges(choices: dict[int, int]) -> list[dict]:
-    return [{"id": eid, "level": lvl} for eid, lvl in sorted(choices.items())]
+def _tree(sol, feasible: bool = True) -> tuple:
+    edges = [{"id": eid, "level": lvl} for eid, lvl in sorted(sol.choices.items())]
+    return sol.total_length, sol.total_spend, edges, feasible
 
 
-def _path_edges(solution) -> list[dict]:
-    return [{"id": eid, "level": 1 if imp else 0}
-            for eid, imp in zip(solution.edge_ids, solution.improved)]
+def _on_multigraph(graph, budget: int, copy_ids) -> tuple:
+    """Tree entry for a solver that picks ``copy_ids(multigraph)`` of the expanded graph."""
+    mg = expand_to_multigraph(graph)
+    sol = solution_from_choices(graph, choices_from_copies(mg, copy_ids(mg)))
+    return _tree(sol, sol.total_spend <= budget)
 
 
-def _uniform_improvement_cap(dag, budget: int) -> int:
-    costs = {e.cost for e in dag.edges}
-    if len(costs) > 1:
-        raise UsageError("uniform solver needs equal improvement costs on all edges")
-    q = costs.pop() if costs else 0
+def _imst(graph, budget: int, opts) -> tuple:
+    config = imst_random.RandomizedConfig(
+        epsilon=opts.epsilon or Fraction(3, 10), delta=opts.delta or Fraction(1, 5),
+        master_seed=opts.seed, trials=opts.trials)
+    return _tree(imst_random.imst_solve(graph, budget, config,
+                                        minimize=opts.minimize).solution)
+
+
+def _improvement_cap(dag, budget: int) -> int:
+    """Improvements the budget buys at the first edge's cost; the uniform
+    solvers reject instances whose edges cost different amounts."""
+    q = dag.edges[0].cost if dag.edges else 0
     return dag.n - 1 if q == 0 else budget // q
 
 
@@ -113,66 +118,54 @@ class UsageError(RuntimeError):
     pass
 
 
-def _run_algo(algo: str, problem: Problem, args):
+# Entries are run(instance, budget, opts): tree entries return (objective,
+# spend, edges, feasible), DAG entries a PathSolution.  They look solvers up
+# through their modules at call time, so a module attribute rebound later
+# (a wrapper, a mock) is the one that runs.
+TREE_ALGOS = {
+    "uimst": lambda g, b, o: _tree(mst_uniform.uimst_half_approx(g, o.k or 0)),
+    "twocost": lambda g, b, o: _on_multigraph(
+        g, b, lambda mg: two_cost.two_cost_mst(mg, b, o.epsilon or Fraction(1, 2)).copy_ids),
+    "imst": _imst,
+    "exact-imst": lambda g, b, o: _tree(oracle.exact_imst(g, b)[1]),
+    "exact-twocost": lambda g, b, o: _on_multigraph(
+        g, b, lambda mg: oracle.exact_two_cost(mg, b)[2]),
+}
+DAG_ALGOS = {
+    "wildag-uniform": lambda d, b, o: dag_dp.wildag_uniform(d, _improvement_cap(d, b)),
+    "wildag-exact": lambda d, b, o: dag_dp.wildag_budget_exact(d, b),
+    "wildag-fptas": lambda d, b, o: dag_dp.wildag_fptas(d, b, o.epsilon or Fraction(1, 2)),
+    "wisdag-uniform": lambda d, b, o: dag_dp.wisdag_uniform(d, _improvement_cap(d, b)),
+    "wisdag-exact": lambda d, b, o: dag_dp.wisdag_budget_exact(d, b),
+    "wisdag-fptas": lambda d, b, o: dag_dp.wisdag_fptas(d, b, o.epsilon or Fraction(1, 2)),
+    "exact-wildag": lambda d, b, o: oracle.exact_wildag(d, b)[1],
+    "exact-wisdag": lambda d, b, o: oracle.exact_wisdag(d, b)[1],
+}
+
+
+def _run_algo(algo: str, problem: Problem, budget: int, opts) -> tuple:
     """Return (objective, spend, edges, feasible)."""
-    budget = args.budget if args.budget is not None else problem.budget
-    if algo in TREE_ALGOS and problem.kind != "imst":
-        raise UsageError(f"algorithm {algo} needs an imst instance")
-    if algo in DAG_ALGOS and problem.kind != "wildag":
-        raise UsageError(f"algorithm {algo} needs a wildag instance")
-
-    if algo == "uimst":
-        sol = mst_uniform.uimst_half_approx(problem.graph, args.k or 0)
-        return sol.total_length, sol.total_spend, _tree_edges(sol.choices), True
-    if algo == "twocost":
-        mg = expand_to_multigraph(problem.graph)
-        res = two_cost.two_cost_mst(mg, budget, args.epsilon or Fraction(1, 2))
-        edges = _tree_edges(choices_from_copies(mg, res.copy_ids))
-        return res.length, res.cost, edges, res.cost <= budget
-    if algo == "imst":
-        config = imst_random.RandomizedConfig(
-            epsilon=args.epsilon or Fraction(3, 10),
-            delta=args.delta or Fraction(1, 5),
-            master_seed=args.seed, trials=args.trials)
-        res = imst_random.imst_solve(problem.graph, budget, config,
-                                     minimize=args.minimize)
-        sol = res.solution
-        return sol.total_length, sol.total_spend, _tree_edges(sol.choices), True
-    if algo == "exact-imst":
-        val, sol = oracle.exact_imst(problem.graph, budget)
-        return val, sol.total_spend, _tree_edges(sol.choices), True
-    if algo == "exact-twocost":
-        mg = expand_to_multigraph(problem.graph)
-        length, cost, ids = oracle.exact_two_cost(mg, budget)
-        return length, cost, _tree_edges(choices_from_copies(mg, ids)), True
-
-    dag = problem.dag
-    if algo in ("wildag-uniform", "wisdag-uniform"):
-        cap = _uniform_improvement_cap(dag, budget)
-        fn = dag_dp.wildag_uniform if algo.startswith("wildag") else dag_dp.wisdag_uniform
-        sol = fn(dag, cap)
-    elif algo in ("wildag-exact", "wisdag-exact"):
-        fn = dag_dp.wildag_budget_exact if algo.startswith("wildag") else dag_dp.wisdag_budget_exact
-        sol = fn(dag, budget)
-    elif algo in ("wildag-fptas", "wisdag-fptas"):
-        fn = dag_dp.wildag_fptas if algo.startswith("wildag") else dag_dp.wisdag_fptas
-        sol = fn(dag, budget, args.epsilon or Fraction(1, 2))
-    elif algo == "exact-wildag":
-        _val, sol = oracle.exact_wildag(dag, budget)
-    elif algo == "exact-wisdag":
-        _val, sol = oracle.exact_wisdag(dag, budget)
-    else:
+    if algo in TREE_ALGOS:
+        if problem.kind != "imst":
+            raise UsageError(f"algorithm {algo} needs an imst instance")
+        return TREE_ALGOS[algo](problem.graph, budget, opts)
+    if algo not in DAG_ALGOS:
         raise UsageError(f"unknown algorithm {algo!r}")
-    return sol.total_length, sol.total_spend, _path_edges(sol), sol.total_spend <= budget
+    if problem.kind != "wildag":
+        raise UsageError(f"algorithm {algo} needs a wildag instance")
+    sol = DAG_ALGOS[algo](problem.dag, budget, opts)
+    edges = [{"id": eid, "level": 1 if imp else 0}
+             for eid, imp in zip(sol.edge_ids, sol.improved)]
+    return sol.total_length, sol.total_spend, edges, sol.total_spend <= budget
 
 
 def cmd_solve(args) -> int:
     with open(args.infile, "rb") as fh:
         problem = parse(fh.read())
-    start = time.perf_counter()
-    objective, spend, edges, feasible = _run_algo(args.algo, problem, args)
-    wall_ms = (time.perf_counter() - start) * 1000.0
     budget = args.budget if args.budget is not None else problem.budget
+    start = time.perf_counter()
+    objective, spend, edges, feasible = _run_algo(args.algo, problem, budget, args)
+    wall_ms = (time.perf_counter() - start) * 1000.0
     doc = {
         "algorithm": args.algo,
         "objective": objective,
@@ -190,28 +183,27 @@ def cmd_solve(args) -> int:
 
 VERIFY_FIELDS = ["instance", "hash", "algo", "n", "m", "budget", "epsilon",
                  "delta", "trials", "successes", "fraction", "min_ratio", "passed"]
+VERIFY_ALGOS = ("uimst", "twocost", "imst", "wildag-exact", "wildag-fptas",
+                "wildag-uniform")
 
 
-def _verify_instance_graph(size: int, seed: int):
-    cap = size * (size - 1) // 2
-    m = min(cap, size + size // 2 + 1)
-    graph = generate.gen_random_graph(size, m, max_len=8, max_cost=6, seed=seed)
+def _verify_problem(algo: str, size: int, seed: int) -> Problem:
+    """A random instance for ``algo``, budget drawn up to half its total cost."""
+    m = min(size * (size - 1) // 2, size + size // 2 + 1)
     rng = random.Random(seed ^ 0x5EED)
-    total = sum(e.ladder[-1].cost for e in graph.edges)
-    return graph, rng.randint(0, max(1, total // 2))
-
-
-def _verify_instance_dag(size: int, seed: int, uniform: bool):
-    cap = size * (size - 1) // 2
-    m = min(cap, size + size // 2 + 1)
+    if algo in TREE_ALGOS:
+        graph = generate.gen_random_graph(size, m, max_len=8, max_cost=6, seed=seed)
+        total = sum(e.ladder[-1].cost for e in graph.edges)
+        return Problem("imst", rng.randint(0, max(1, total // 2)), graph=graph)
     dag = generate.gen_random_dag(size, m, max_len=6, max_cost=5, seed=seed,
-                                  uniform_cost=1 if uniform else None)
-    rng = random.Random(seed ^ 0x5EED)
+                                  uniform_cost=1 if algo == "wildag-uniform" else None)
     total = sum(e.cost for e in dag.edges)
-    return dag, rng.randint(0, max(1, total // 2))
+    return Problem("wildag", rng.randint(0, max(1, total // 2)), dag=dag)
 
 
 def cmd_verify(args) -> int:
+    if args.algo not in VERIFY_ALGOS:
+        raise UsageError(f"verify does not support algorithm {args.algo!r}")
     eps = args.epsilon or Fraction(3, 10)
     delta = args.delta or Fraction(1, 5)
     writer = csv.DictWriter(sys.stdout, fieldnames=VERIFY_FIELDS, lineterminator="\n")
@@ -219,84 +211,65 @@ def cmd_verify(args) -> int:
     rows = []
     for i in range(args.count):
         seed = args.seed + i
-        rows.append(_verify_one(args.algo, args.size, seed, args.trials,
-                                eps, delta, i))
-    for row in sorted(rows, key=lambda r: r["instance"]):
-        writer.writerow(row)
+        problem = _verify_problem(args.algo, args.size, seed)
+        rows.append({"instance": i, "hash": instance_hash(problem), "algo": args.algo,
+                     "n": problem.instance.n, "m": problem.instance.m,
+                     "budget": problem.budget, "epsilon": str(eps),
+                     "delta": str(delta), "trials": args.trials,
+                     **_verify_one(args.algo, problem, seed, args.trials, eps, delta)})
+    writer.writerows(rows)
     return 0
 
 
-def _verify_one(algo: str, size: int, seed: int, trials: int,
-                eps: Fraction, delta: Fraction, index: int) -> dict:
-    row = {"instance": index, "algo": algo, "epsilon": str(eps),
-           "delta": str(delta), "trials": trials}
+def _verify_one(algo: str, problem: Problem, seed: int, trials: int,
+                eps: Fraction, delta: Fraction) -> dict:
+    budget = problem.budget
+    if algo in DAG_ALGOS:
+        dag = problem.dag
+        opt, _sol = oracle.exact_wildag(dag, budget)
+        sol = DAG_ALGOS[algo](dag, budget, argparse.Namespace(epsilon=eps))
+        if algo == "wildag-exact":
+            ok = sol.total_length == opt and sol.total_spend <= budget
+        elif algo == "wildag-uniform":
+            ok = sol.total_length == opt
+        else:
+            ok = (sol.total_length >= (1 - eps) * opt
+                  and sol.total_spend <= budget)
+        return dict(trials=1, successes=int(ok), fraction=float(ok),
+                    min_ratio=round(sol.total_length / opt, 6) if opt else 1.0,
+                    passed=ok)
+    graph = problem.graph
     if algo == "uimst":
-        graph, budget = _verify_instance_graph(size, seed)
-        row.update(n=graph.n, m=graph.m, budget=budget,
-                   hash=instance_hash(Problem("imst", budget, graph=graph)))
         opts = oracle.exact_uimst_table(graph)
         successes, ratios = 0, []
         for k in range(graph.n):
             sol = mst_uniform.uimst_half_approx(graph, k)
             ratios.append(sol.total_length / opts[k] if opts[k] else 1.0)
             successes += 2 * sol.total_length >= opts[k]
-        row.update(trials=graph.n, successes=successes,
-                   fraction=round(successes / graph.n, 6),
-                   min_ratio=round(min(ratios), 6),
-                   passed=successes == graph.n)
-    elif algo == "twocost":
-        graph, budget = _verify_instance_graph(size, seed)
-        row.update(n=graph.n, m=graph.m, budget=budget,
-                   hash=instance_hash(Problem("imst", budget, graph=graph)))
+        return dict(trials=graph.n, successes=successes,
+                    fraction=round(successes / graph.n, 6),
+                    min_ratio=round(min(ratios), 6), passed=successes == graph.n)
+    if algo == "twocost":
         mg = expand_to_multigraph(graph)
         opt, _c, _ids = oracle.exact_two_cost(mg, budget)
         res = two_cost.two_cost_mst(mg, budget, eps)
         ok = res.length >= opt and res.cost <= (1 + eps) * budget
-        row.update(trials=1, successes=int(ok), fraction=float(ok),
-                   min_ratio=round(res.length / opt, 6) if opt else 1.0,
-                   passed=ok)
-    elif algo == "imst":
-        graph, budget = _verify_instance_graph(size, seed)
-        row.update(n=graph.n, m=graph.m, budget=budget,
-                   hash=instance_hash(Problem("imst", budget, graph=graph)))
-        opt, _sol = oracle.exact_imst(graph, budget)
-        successes, ratios = 0, []
-        for t in range(trials):
-            config = imst_random.RandomizedConfig(
-                epsilon=eps, delta=delta, master_seed=seed * 1_000_003 + t)
-            res = imst_random.imst_solve(graph, budget, config)
-            sol = res.solution
-            ratios.append(sol.total_length / opt if opt else 1.0)
-            successes += (sol.total_spend <= budget
-                          and sol.total_length >= (1 - eps) * opt)
-        target = 1 - float(delta)
-        band = 3 * math.sqrt(target * (1 - target) / trials)
-        fraction = successes / trials
-        row.update(successes=successes, fraction=round(fraction, 6),
-                   min_ratio=round(min(ratios), 6),
-                   passed=fraction >= target - band)
-    elif algo in ("wildag-exact", "wildag-fptas", "wildag-uniform"):
-        uniform = algo == "wildag-uniform"
-        dag, budget = _verify_instance_dag(size, seed, uniform)
-        row.update(n=dag.n, m=dag.m, budget=budget,
-                   hash=instance_hash(Problem("wildag", budget, dag=dag)))
-        opt, _sol = oracle.exact_wildag(dag, budget)
-        if algo == "wildag-exact":
-            sol = dag_dp.wildag_budget_exact(dag, budget)
-            ok = sol.total_length == opt and sol.total_spend <= budget
-        elif algo == "wildag-uniform":
-            sol = dag_dp.wildag_uniform(dag, budget)
-            ok = sol.total_length == opt
-        else:
-            sol = dag_dp.wildag_fptas(dag, budget, eps)
-            ok = (sol.total_length >= (1 - eps) * opt
-                  and sol.total_spend <= budget)
-        row.update(trials=1, successes=int(ok), fraction=float(ok),
-                   min_ratio=round(sol.total_length / opt, 6) if opt else 1.0,
-                   passed=ok)
-    else:
-        raise UsageError(f"verify does not support algorithm {algo!r}")
-    return row
+        return dict(trials=1, successes=int(ok), fraction=float(ok),
+                    min_ratio=round(res.length / opt, 6) if opt else 1.0, passed=ok)
+    opt, _sol = oracle.exact_imst(graph, budget)
+    successes, ratios = 0, []
+    for t in range(trials):
+        config = imst_random.RandomizedConfig(
+            epsilon=eps, delta=delta, master_seed=seed * 1_000_003 + t)
+        sol = imst_random.imst_solve(graph, budget, config).solution
+        ratios.append(sol.total_length / opt if opt else 1.0)
+        successes += (sol.total_spend <= budget
+                      and sol.total_length >= (1 - eps) * opt)
+    target = 1 - float(delta)
+    band = 3 * math.sqrt(target * (1 - target) / trials)
+    fraction = successes / trials
+    return dict(successes=successes, fraction=round(fraction, 6),
+                min_ratio=round(min(ratios), 6), passed=fraction >= target - band)
 
 
 BENCH_FIELDS = ["algo", "n", "m", "W", "epsilon", "wall_ms", "objective"]
@@ -306,34 +279,30 @@ def _third_of_costs(dag) -> int:
     return sum(e.cost for e in dag.edges) // 3
 
 
-# algorithm -> (solve(dag, budget, eps), budget rule(dag))
-_BENCH_ALGOS = {
-    "wildag-uniform": (lambda dag, b, _eps: dag_dp.wildag_uniform(dag, b),
-                       lambda dag: dag.n // 2),
-    "wildag-exact": (lambda dag, b, _eps: dag_dp.wildag_budget_exact(dag, b),
-                     _third_of_costs),
-    "wildag-fptas": (lambda dag, b, eps: dag_dp.wildag_fptas(dag, b, eps or Fraction(1, 2)),
-                     _third_of_costs),
+# algorithm -> budget rule(dag); the solve itself is the DAG_ALGOS entry
+_BENCH_BUDGETS = {
+    "wildag-uniform": lambda dag: dag.n // 2,
+    "wildag-exact": _third_of_costs,
+    "wildag-fptas": _third_of_costs,
 }
 
 
 def cmd_bench(args) -> int:
+    if args.algo not in _BENCH_BUDGETS:
+        raise UsageError(f"bench does not support algorithm {args.algo!r}")
     writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_FIELDS, lineterminator="\n")
     writer.writeheader()
-    if args.algo not in _BENCH_ALGOS:
-        raise UsageError(f"bench does not support algorithm {args.algo!r}")
-    solve, budget_rule = _BENCH_ALGOS[args.algo]
-    epsilons = args.epsilons or [None]
+    solve = DAG_ALGOS[args.algo]
     for n in args.sizes:
         m = min(n * (n - 1) // 2, max(n, n * n // 8))
         uniform = args.algo.endswith("uniform")
         dag = generate.gen_random_dag(n, m, max_len=10, max_cost=4,
                                       seed=args.seed + n,
                                       uniform_cost=1 if uniform else None)
-        budget = budget_rule(dag)
-        for eps in epsilons:
+        budget = _BENCH_BUDGETS[args.algo](dag)
+        for eps in args.epsilons or [None]:
             start = time.perf_counter()
-            sol = solve(dag, budget, eps)
+            sol = solve(dag, budget, argparse.Namespace(epsilon=eps))
             wall = (time.perf_counter() - start) * 1000.0
             writer.writerow({
                 "algo": args.algo, "n": n, "m": dag.m,

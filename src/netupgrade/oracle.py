@@ -17,6 +17,7 @@ from .instances import (
     PathSolution,
     TreeSolution,
     UpgradableGraph,
+    require_valid,
     solution_from_choices,
 )
 
@@ -197,7 +198,9 @@ def exact_wildag(dag: DagInstance, budget: int, limits: OracleBudget = DEFAULT_B
 
     Per path, the best improvement subset is an exact 0/1 knapsack over the
     path's edges (gain = |improved - base|, weight = cost, capacity = budget).
+    The instance is validated first, in the direction ``minimize`` asks for.
     """
+    require_valid(dag, improvement="decrease" if minimize else "increase")
     if dag.n > limits.max_dag_vertices:
         raise OracleSizeError(f"DAG too large for path enumeration (n={dag.n})")
     best_val = None

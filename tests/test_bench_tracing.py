@@ -1,0 +1,36 @@
+"""The benchmark's tracer rebinds module attributes; every layer it wraps
+must still see calls when the CLI solves through its algorithm table."""
+
+from pathlib import Path
+
+from netupgrade import cli
+
+BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
+
+
+def test_tracer_counts_every_layer_through_the_cli(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import tracing
+
+    graph, dag = tmp_path / "g.json", tmp_path / "d.json"
+    assert cli.main(["gen", "--kind", "imst", "--n", "6", "--m", "9", "--seed", "3",
+                     "--budget", "8", "--out", str(graph)]) == 0
+    assert cli.main(["gen", "--kind", "wildag", "--n", "7", "--m", "12", "--seed", "11",
+                     "--budget", "7", "--out", str(dag)]) == 0
+    # (algorithm, instance, the layers that run must reach once each)
+    runs = [("wildag-exact", dag, ("dag_dp",)), ("wildag-fptas", dag, ("dag_dp",)),
+            ("twocost", graph, ("two_cost", "instances.expand")),
+            ("imst", graph, ("imst_random",)), ("uimst", graph, ("mst_uniform",))]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for algo, path, layers in runs:
+            before = [tracer.calls[layer] for layer in layers]
+            assert cli.main(["solve", "--algo", algo, "--in", str(path),
+                             "--seed", "5", "--no-timing"]) == 0
+            assert [tracer.calls[layer] for layer in layers] == [
+                count + 1 for count in before], algo
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.calls["cli"] == tracer.calls["serialization.parse"] == len(runs)

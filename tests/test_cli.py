@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from netupgrade.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -124,6 +127,19 @@ def test_verify_unknown_algo(capsys):
     assert run(capsys, "verify", "--algo", "nope", "--count", "1")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--algo", "nope", "--count", "1"),
+    ("verify", "--algo", "nope", "--count", "0"),
+    ("verify", "--algo", "wisdag-exact", "--count", "0"),
+    ("bench", "--algo", "nope", "--sizes", "8"),
+    ("bench", "--algo", "imst", "--sizes", ""),
+])
+def test_unsupported_algo_is_rejected_before_the_csv_header(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} does not support algorithm {argv[2]!r}\n"
+
+
 def test_bench_empty_sweep_is_header_only(capsys):
     code, out, _ = run(capsys, "bench", "--algo", "wildag-uniform",
                        "--sizes", "")
@@ -174,3 +190,53 @@ def test_oversized_input_errors_exit_2_without_traceback(exc, capsys, monkeypatc
     code, _out, err = run(capsys, "solve", "--algo", "uimst", "--in", "x.json")
     assert code == 2
     assert err == f"error: input too large ({exc.__name__})\n"
+
+
+# Runs whose error text differs from the golden file on purpose.  A uniform
+# solver given unequal costs on a DAG that also fails validation in its
+# direction reports the violations (the cost check comes after validation),
+# and the path oracles validate before enumerating instead of failing inside
+# their knapsack.
+CHANGED_STDERR = {("up", "wisdag-uniform"), ("down", "wildag-uniform"),
+                  ("up", "exact-wisdag"), ("down", "exact-wildag"),
+                  ("equal", "exact-wisdag"), ("equal-down", "exact-wildag")}
+
+
+def _golden_files(tmp_path) -> dict:
+    paths = {}
+    for name, doc in GOLDEN["instances"].items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(doc)
+    return paths
+
+
+def test_cli_output_matches_golden(tmp_path, capsys):
+    """Every solve algorithm on a graph and on increasing, decreasing and
+    equal-cost DAGs, plus every verify algorithm, print what the CLI printed
+    before one algorithm table replaced its per-command dispatch
+    (tests/data/cli_golden.json): the same exit code and stdout, and the same
+    stderr outside CHANGED_STDERR."""
+    paths = _golden_files(tmp_path)
+    for case in GOLDEN["solve"]:
+        code, out, err = run(capsys, "solve", "--in", str(paths[case["instance"]]),
+                             *case["args"])
+        assert (code, out) == (case["code"], case["out"]), case
+        if (case["instance"], case["args"][1]) in CHANGED_STDERR:
+            assert err.startswith("error: edge ") and err.count("\n") == 1, case
+        else:
+            assert err == case["err"], case
+    for case in GOLDEN["verify"]:
+        assert run(capsys, "verify", *case["args"]) == (
+            case["code"], case["out"], case["err"]), case
+
+
+@pytest.mark.parametrize("oracle_algo, solver_algo, instance", [
+    ("exact-wildag", "wildag-exact", "down"),
+    ("exact-wisdag", "wisdag-exact", "up"),
+])
+def test_path_oracle_reports_the_solvers_validation_error(
+        oracle_algo, solver_algo, instance, tmp_path, capsys):
+    path = str(_golden_files(tmp_path)[instance])
+    expected = run(capsys, "solve", "--algo", solver_algo, "--in", path)
+    assert expected[0] == 2 and "improved length" in expected[2]
+    assert run(capsys, "solve", "--algo", oracle_algo, "--in", path) == expected
