@@ -109,9 +109,13 @@ def _imst(graph, budget: int, opts) -> tuple:
 
 def _improvement_cap(dag, budget: int) -> int:
     """Improvements the budget buys at the first edge's cost; the uniform
-    solvers reject instances whose edges cost different amounts."""
+    solvers reject instances whose edges cost different amounts, and a
+    negative count.  A negative budget buys a negative count even when
+    upgrades are free."""
     q = dag.edges[0].cost if dag.edges else 0
-    return dag.n - 1 if q == 0 else budget // q
+    if q == 0:
+        return dag.n - 1 if budget >= 0 else budget
+    return budget // q
 
 
 class UsageError(RuntimeError):
@@ -204,6 +208,8 @@ def _verify_problem(algo: str, size: int, seed: int) -> Problem:
 def cmd_verify(args) -> int:
     if args.algo not in VERIFY_ALGOS:
         raise UsageError(f"verify does not support algorithm {args.algo!r}")
+    if args.algo == "imst" and args.trials < 1:
+        raise UsageError("--trials must be positive")
     eps = args.epsilon or Fraction(3, 10)
     delta = args.delta or Fraction(1, 5)
     writer = csv.DictWriter(sys.stdout, fieldnames=VERIFY_FIELDS, lineterminator="\n")

@@ -1,14 +1,25 @@
 """Randomized bicriteria solver for the improvable maximum spanning tree.
 
-Pipeline per trial: uniformly shift lengths (so the Chernoff preconditions of
-the analysis hold), expand improvement ladders into a multigraph, solve the
-two-cost relaxation at eps' = eps/2, then independently down-sample each
-improved edge to its free level with probability 1 - 1/(1+eps')^2.  The best
-budget-feasible tree over all trials is returned; feasibility is guaranteed
-unconditionally by trial filtering plus an all-level-0 fallback.
+Pipeline: expand improvement ladders into a multigraph and solve the two-cost
+relaxation at eps' = eps/2 once; then, per trial, independently down-sample
+each improved edge to its free level with probability 1 - 1/(1+eps')^2.  The
+best budget-feasible tree over all trials is returned; feasibility is
+guaranteed unconditionally by trial filtering plus an all-level-0 fallback.
 
 With trials sized from the per-trial failure bound 2/e this satisfies
 Pr[length >= (1-eps)*OPT and spend <= B] >= 1-delta.
+
+The analysis first shifts every length (``shift_lengths`` with
+``scale_threshold``) so that its Chernoff preconditions hold.  The solver
+does not apply the shift: it maps every length x to n*x + shift, so every
+spanning tree (n - 1 edges) moves by the same amount and multiplier lambda
+becomes n*lambda.  The relaxation makes the same choices either way, and the
+trials read only the unshifted graph.
+
+The relaxation depends only on (budget, eps', minimize), so it is kept in the
+instance's memo (``instances._memo``) as a small plan: the relaxed tree's
+choices and totals and the fallback tree.  Repeated solves on one instance,
+over many master seeds, validate and relax once.
 """
 
 from __future__ import annotations
@@ -25,12 +36,14 @@ from .instances import (
     TreeSolution,
     UpgradableEdge,
     UpgradableGraph,
+    _memo,
     choices_from_copies,
     expand_to_multigraph,
     require_valid,
     solution_from_choices,
 )
-from .mst_uniform import max_spanning_tree
+# max_spanning_tree stays importable here: benchmark/tracing.py rebinds it
+from .mst_uniform import base_tree, max_spanning_tree  # noqa: F401
 from .two_cost import two_cost_mst
 
 # per-trial failure constant: the analysis bounds the two failure modes by
@@ -151,22 +164,20 @@ def minimize_transform(graph: UpgradableGraph, big_m: int | None = None) -> Upgr
     return UpgradableGraph(graph.n, edges)
 
 
-# deterministic and pure, so repeated solves on the same instance reuse the
-# relaxation result; keyed by the (hashable) shifted instance
-_TWO_COST_CACHE: dict = {}
-_TWO_COST_CACHE_MAX = 128
-
-
-def _cached_two_cost(shifted: UpgradableGraph, budget: int, eps_prime: Fraction):
-    key = (shifted, budget, eps_prime)
-    hit = _TWO_COST_CACHE.get(key)
-    if hit is None:
-        mg = expand_to_multigraph(shifted)
-        hit = choices_from_copies(mg, two_cost_mst(mg, budget, eps_prime).copy_ids)
-        if len(_TWO_COST_CACHE) >= _TWO_COST_CACHE_MAX:
-            _TWO_COST_CACHE.pop(next(iter(_TWO_COST_CACHE)))
-        _TWO_COST_CACHE[key] = hit
-    return hit
+def _plan(graph: UpgradableGraph, budget: int, eps_prime: Fraction,
+          minimize: bool) -> tuple:
+    """(relaxed choices, their length, their spend, fallback edge ids), the
+    part of a solve that no master seed changes; memoized on the graph."""
+    key = ("imst_plan", budget, eps_prime, minimize)
+    memo = _memo(graph)
+    if key not in memo:
+        work = minimize_transform(graph) if minimize else graph
+        mg = expand_to_multigraph(work)
+        choices = choices_from_copies(mg, two_cost_mst(mg, budget, eps_prime).copy_ids)
+        relaxed = solution_from_choices(graph, choices)
+        memo[key] = (tuple(choices.items()), relaxed.total_length,
+                     relaxed.total_spend, base_tree(work))
+    return memo[key]
 
 
 def imst_solve(graph: UpgradableGraph, budget: int, config: RandomizedConfig,
@@ -181,17 +192,10 @@ def imst_solve(graph: UpgradableGraph, budget: int, config: RandomizedConfig,
     require_valid(graph)
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    work = minimize_transform(graph) if minimize else graph
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
 
-    shift = math.ceil(config.scale_threshold)
-    shifted = shift_lengths(work, shift, work.n)
-    pipeline_choices = _cached_two_cost(shifted, budget, config.epsilon_prime)
-    pipeline_sol = solution_from_choices(graph, pipeline_choices)
-
-    base_edges = [(e.id, e.u, e.v, e.ladder[0].length) for e in work.edges]
-    fallback = solution_from_choices(
-        graph, {eid: 0 for eid in max_spanning_tree(work.n, base_edges)})
+    relaxed, length, spend, fallback = _plan(graph, budget, config.epsilon_prime, minimize)
+    pipeline_sol = TreeSolution(dict(relaxed), length, spend)
 
     best: TreeSolution | None = None
     best_trial: int | None = None
@@ -199,7 +203,7 @@ def imst_solve(graph: UpgradableGraph, budget: int, config: RandomizedConfig,
     for i in range(config.num_trials):
         seed = splitmix64((config.master_seed ^ i) & MASK64)
         rng = random.Random(seed)
-        sampled = sample_improved_forest(graph, pipeline_choices,
+        sampled = sample_improved_forest(graph, pipeline_sol.choices,
                                          config.epsilon_prime, rng)
         feasible = sampled.total_spend <= budget
         trials.append(TrialSummary(i, seed, sampled.total_length,
@@ -210,6 +214,6 @@ def imst_solve(graph: UpgradableGraph, budget: int, config: RandomizedConfig,
                 best = cand
                 best_trial = i
     if best is None:
-        best = fallback
+        best = solution_from_choices(graph, dict.fromkeys(fallback, 0))
         best_trial = None
     return ImstResult(best, trials, best_trial)

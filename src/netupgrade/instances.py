@@ -8,6 +8,14 @@ Two instance families:
   improvement cost, plus a source and a sink.
 
 Instances are immutable after construction; every operation here is pure.
+So a fact derived from an instance can be kept on the instance itself:
+``_memo(instance)`` is a dict in the instance's ``__dict__``, outside the
+dataclass fields, so ``==``, ``hash`` and ``repr`` never see it.  It holds
+successes only.  ``require_valid`` records a passed validation per
+``improvement`` direction and never a failure, so an invalid instance raises
+the same violations on every call; the solvers keep their derived plans
+(the randomized solver's relaxation, the base-length spanning tree) there
+too.  The rule assumes the instance is built from tuples and never mutated.
 """
 
 from __future__ import annotations
@@ -299,10 +307,21 @@ def validate(instance, *, improvement: str = "increase") -> list[str]:
     raise TypeError(f"cannot validate {type(instance).__name__}")
 
 
+def _memo(instance) -> dict:
+    """The instance's memo of derived facts (see the module docstring)."""
+    return instance.__dict__.setdefault("_memo", {})
+
+
 def require_valid(instance, *, improvement: str = "increase") -> None:
+    """Raise InvalidInstanceError unless the instance is valid; a pass is
+    remembered per direction, so each instance validates once."""
+    memo = _memo(instance)
+    if ("valid", improvement) in memo:
+        return
     violations = validate(instance, improvement=improvement)
     if violations:
         raise InvalidInstanceError(violations)
+    memo["valid", improvement] = True
 
 
 def expand_to_multigraph(graph: UpgradableGraph) -> MultiGraph:

@@ -3,7 +3,8 @@
 Builds two candidate trees: a maximum spanning tree on base lengths, and a
 size-capped greedy forest on improved lengths extended to a tree by base
 edges.  The longer of the two is within a factor 1/2 of the optimum for any
-improvement cap k.
+improvement cap k.  The base-length tree does not depend on k, so it is
+computed once per graph and kept in the graph's memo.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .instances import (
     DisconnectedGraphError,
     TreeSolution,
     UpgradableGraph,
+    _memo,
     require_valid,
     solution_from_choices,
 )
@@ -73,6 +75,16 @@ def extend_forest_to_tree(n: int, forest_ids, all_edges: Sequence[WeightedEdge],
     return tree
 
 
+def base_tree(graph: UpgradableGraph) -> tuple[int, ...]:
+    """Edge ids of the maximum spanning tree on level-0 lengths, memoized on
+    the graph."""
+    memo = _memo(graph)
+    if "base_tree" not in memo:
+        base = [(e.id, e.u, e.v, e.ladder[0].length) for e in graph.edges]
+        memo["base_tree"] = tuple(max_spanning_tree(graph.n, base))
+    return memo["base_tree"]
+
+
 def uimst_half_approx(graph: UpgradableGraph, k: int) -> TreeSolution:
     """Best of the base-length tree and the capped improved-forest tree.
 
@@ -87,8 +99,7 @@ def uimst_half_approx(graph: UpgradableGraph, k: int) -> TreeSolution:
     base = [(e.id, e.u, e.v, e.ladder[0].length) for e in graph.edges]
     improved = [(e.id, e.u, e.v, e.ladder[1].length) for e in graph.edges]
 
-    tree1 = max_spanning_tree(graph.n, base)
-    sol1 = solution_from_choices(graph, {eid: 0 for eid in tree1})
+    sol1 = solution_from_choices(graph, dict.fromkeys(base_tree(graph), 0))
 
     forest = max_forest_capped(graph.n, improved, k)
     tree2 = extend_forest_to_tree(graph.n, forest, improved, base)

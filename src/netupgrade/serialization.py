@@ -26,6 +26,7 @@ from .instances import (
     ImprovementLevel,
     UpgradableEdge,
     UpgradableGraph,
+    _memo,
     validate,
 )
 
@@ -133,6 +134,8 @@ def _require_valid(instance, location: str) -> None:
         # errors are reported against the longest-path rules in either case
         violations = validate(instance)
         raise FormatError("invalid instance: " + "; ".join(violations), location)
+    # the solver's require_valid in the same direction then passes at once
+    _memo(instance)["valid", improvement] = True
 
 
 def serialize(problem: Problem) -> bytes:

@@ -1,9 +1,10 @@
 """The benchmark's tracer rebinds module attributes; every layer it wraps
 must still see calls when the CLI solves through its algorithm table."""
 
+from fractions import Fraction
 from pathlib import Path
 
-from netupgrade import cli
+from netupgrade import cli, generate, imst_random, mst_uniform
 
 BENCHMARK_DIR = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -34,3 +35,28 @@ def test_tracer_counts_every_layer_through_the_cli(tmp_path, monkeypatch, capsys
         tracer.uninstall()
     capsys.readouterr()
     assert tracer.calls["cli"] == tracer.calls["serialization.parse"] == len(runs)
+
+
+def test_tracer_sees_one_validation_and_one_relaxation_per_graph(monkeypatch):
+    """Repeated library solves on one graph, as the tree-resample workload
+    runs them: the counters its speed rests on."""
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import tracing
+
+    graph = generate.gen_random_graph(9, 16, max_len=40, seed=21)
+    budget = sum(e.ladder[-1].cost for e in graph.edges) // 3
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for seed in range(8):
+            config = imst_random.RandomizedConfig(Fraction(3, 10), Fraction(1, 5), seed)
+            imst_random.imst_solve(graph, budget, config)
+        for k in range(graph.n):
+            mst_uniform.uimst_half_approx(graph, k)
+    finally:
+        tracer.uninstall()
+    _times, counts, _hit_ratio = tracer.metrics()
+    assert counts["imst_random.solves"] == 8
+    assert counts["instances.validate.calls"] == 1
+    assert counts["imst_random.relax.calls"] == 1
+    assert counts["mst_uniform.mst.calls"] <= 2

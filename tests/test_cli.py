@@ -240,3 +240,29 @@ def test_path_oracle_reports_the_solvers_validation_error(
     expected = run(capsys, "solve", "--algo", solver_algo, "--in", path)
     assert expected[0] == 2 and "improved length" in expected[2]
     assert run(capsys, "solve", "--algo", oracle_algo, "--in", path) == expected
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_imst_rejects_nonpositive_trials_before_the_header(trials, capsys):
+    code, out, err = run(capsys, "verify", "--algo", "imst", "--count", "1",
+                         "--size", "4", "--trials", trials)
+    assert (code, out, err) == (2, "", "error: --trials must be positive\n")
+
+
+@pytest.mark.parametrize("cost", [0, 1])
+@pytest.mark.parametrize("algo", ["wildag-uniform", "wisdag-uniform"])
+def test_uniform_rejects_a_negative_budget_whatever_the_upgrade_cost(
+        algo, cost, tmp_path, capsys):
+    ladder = [[3, 0], [5, cost]] if algo == "wildag-uniform" else [[5, 0], [3, cost]]
+    doc = {"kind": "wildag", "n": 3, "budget": 1,
+           "edges": [{"id": 0, "u": 0, "v": 1, "ladder": ladder},
+                     {"id": 1, "u": 1, "v": 2, "ladder": ladder}],
+           "source": 0, "sink": 2, "directed": True}
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "solve", "--algo", algo, "--in", str(path),
+               "--budget", "-1", "--no-timing") == (
+        2, "", "error: improvement count must be nonnegative\n")
+    code, out, _err = run(capsys, "solve", "--algo", algo, "--in", str(path),
+                          "--budget", "0", "--no-timing")
+    assert code == 0 and json.loads(out)["feasible"] is True

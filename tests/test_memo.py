@@ -1,0 +1,249 @@
+"""Facts memoized on an instance: validation, the randomized solver's
+relaxation plan and the base-length spanning tree.
+
+The memo must be invisible: solving an instance once or many times gives the
+results of the unmemoized pipeline, failures are never remembered, and the
+instance compares, hashes and prints as before.
+"""
+
+import json
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from netupgrade import dag_dp, generate, imst_random, instances, mst_uniform
+from netupgrade.imst_random import (
+    ImstResult,
+    RandomizedConfig,
+    TrialSummary,
+    imst_solve,
+    minimize_transform,
+    sample_improved_forest,
+    shift_lengths,
+)
+from netupgrade.instances import (
+    DagEdge,
+    DagInstance,
+    ImprovementLevel,
+    InvalidInstanceError,
+    UpgradableEdge,
+    UpgradableGraph,
+    choices_from_copies,
+    expand_to_multigraph,
+    require_valid,
+    solution_from_choices,
+    validate,
+)
+from netupgrade.mst_uniform import (
+    extend_forest_to_tree,
+    max_forest_capped,
+    max_spanning_tree,
+    uimst_half_approx,
+)
+from netupgrade.serialization import parse
+from netupgrade.two_cost import two_cost_mst
+from netupgrade._util import MASK64, splitmix64
+
+
+def count_validations(monkeypatch) -> list:
+    calls = []
+    real = instances.validate
+    monkeypatch.setattr(instances, "validate",
+                        lambda *a, **k: calls.append(k) or real(*a, **k))
+    return calls
+
+
+# ------------------------------------------------------------ memo semantics
+
+def test_repeated_solves_validate_once(monkeypatch):
+    calls = count_validations(monkeypatch)
+    g = generate.gen_random_graph(8, 13, seed=4)
+    for seed in range(12):
+        imst_solve(g, 9, RandomizedConfig(Fraction(3, 10), Fraction(1, 5), seed))
+    for k in range(g.n):
+        uimst_half_approx(g, k)
+    assert len(calls) == 1
+
+
+def test_parsed_instance_is_not_validated_again(monkeypatch):
+    doc = {"kind": "wildag", "n": 3, "budget": 2,
+           "edges": [{"id": 0, "u": 0, "v": 1, "ladder": [[5, 0], [2, 1]]},
+                     {"id": 1, "u": 1, "v": 2, "ladder": [[4, 0], [1, 1]]}],
+           "source": 0, "sink": 2, "directed": True}
+    dag = parse(json.dumps(doc)).dag
+    calls = count_validations(monkeypatch)
+    dag_dp.wisdag_budget_exact(dag, 2)
+    dag_dp.wisdag_uniform(dag, 1)
+    assert calls == []
+
+
+def invalid_graph():
+    return UpgradableGraph(3, (
+        UpgradableEdge(0, 0, 0, (ImprovementLevel(1, 1),)),
+        UpgradableEdge(1, 1, 2, (ImprovementLevel(3, 0), ImprovementLevel(2, 1),
+                                 ImprovementLevel(4, 2))),
+    ))
+
+
+def invalid_dag():
+    # a cycle, a sink equal to the source and a decreasing ladder
+    return DagInstance(2, (DagEdge(0, 0, 1, 5, 2, 1), DagEdge(1, 1, 0, 1, 1, 0)), 0, 0)
+
+
+@pytest.mark.parametrize("make, solve", [
+    (invalid_graph, lambda g: imst_solve(
+        g, 3, RandomizedConfig(Fraction(1, 2), Fraction(1, 5)))),
+    (invalid_graph, lambda g: uimst_half_approx(g, 1)),
+    (invalid_graph, require_valid),
+    (invalid_dag, lambda d: dag_dp.wildag_budget_exact(d, 1)),
+    (invalid_dag, lambda d: dag_dp.wisdag_uniform(d, 1)),
+    (invalid_dag, require_valid),
+])
+def test_failures_are_never_remembered(make, solve):
+    instance = make()
+    seen = []
+    for _ in range(3):
+        with pytest.raises(InvalidInstanceError) as exc:
+            solve(instance)
+        seen.append(exc.value.violations)
+    assert seen[0] and seen[0] == seen[1] == seen[2]
+
+
+def test_a_pass_counts_for_its_direction_only():
+    dag = DagInstance(2, (DagEdge(0, 0, 1, 2, 5, 1),), 0, 1)
+    require_valid(dag, improvement="increase")
+    dag_dp.wildag_budget_exact(dag, 1)
+    for _ in range(2):
+        with pytest.raises(InvalidInstanceError, match="improved length above base"):
+            require_valid(dag, improvement="decrease")
+        with pytest.raises(InvalidInstanceError, match="improved length above base"):
+            dag_dp.wisdag_budget_exact(dag, 1)
+
+
+def test_memo_is_invisible_to_eq_hash_and_repr():
+    g = generate.gen_random_graph(7, 11, seed=9)
+    twin = generate.gen_random_graph(7, 11, seed=9)
+    dag = generate.gen_random_dag(7, 12, seed=3)
+    before = [(repr(x), hash(x)) for x in (g, dag)]
+    imst_solve(g, 6, RandomizedConfig(Fraction(3, 10), Fraction(1, 5), 1))
+    imst_solve(g, 6, RandomizedConfig(Fraction(3, 10), Fraction(1, 5), 2), minimize=False)
+    uimst_half_approx(g, 2)
+    dag_dp.wildag_budget_exact(dag, 4)
+    assert [(repr(x), hash(x)) for x in (g, dag)] == before
+    assert g == twin and twin == g
+    assert dag == generate.gen_random_dag(7, 12, seed=3)
+
+
+# ------------------------------------- equivalence with the unmemoized pipeline
+
+def reference_imst_solve(graph, budget, config, minimize=False):
+    """The solver before its relaxation was memoized: validate, shift,
+    expand and relax on every call."""
+    assert validate(graph) == []
+    assert budget >= 0
+    work = minimize_transform(graph) if minimize else graph
+    better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
+    shifted = shift_lengths(work, math.ceil(config.scale_threshold), work.n)
+    mg = expand_to_multigraph(shifted)
+    choices = choices_from_copies(mg, two_cost_mst(mg, budget, config.epsilon_prime).copy_ids)
+    pipeline_sol = solution_from_choices(graph, choices)
+    base_edges = [(e.id, e.u, e.v, e.ladder[0].length) for e in work.edges]
+    fallback = solution_from_choices(
+        graph, {eid: 0 for eid in max_spanning_tree(work.n, base_edges)})
+    best, best_trial, trials = None, None, []
+    for i in range(config.num_trials):
+        seed = splitmix64((config.master_seed ^ i) & MASK64)
+        sampled = sample_improved_forest(graph, choices, config.epsilon_prime,
+                                         random.Random(seed))
+        trials.append(TrialSummary(i, seed, sampled.total_length, sampled.total_spend,
+                                   sampled.total_spend <= budget))
+        for cand in (sampled, pipeline_sol):
+            if cand.total_spend <= budget and (
+                    best is None or better(cand.total_length, best.total_length)):
+                best, best_trial = cand, i
+    if best is None:
+        best, best_trial = fallback, None
+    return ImstResult(best, trials, best_trial)
+
+
+def ladder_graph(rng: random.Random, minimize: bool) -> UpgradableGraph:
+    """A random graph whose edges have 2-4 level ladders, lengths falling
+    along the ladder when ``minimize``."""
+    n = rng.randint(3, 8)
+    m = rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n))
+    up = generate.gen_random_graph(n, m, max_len=rng.choice((6, 30)), max_cost=5,
+                                   levels=4, seed=rng.randrange(1 << 30))
+    edges = []
+    for e in up.edges:
+        ladder = e.ladder[:rng.randint(2, 4)]
+        if minimize:
+            ladder = tuple(ImprovementLevel(lv.length, lc.cost)
+                           for lv, lc in zip(reversed(ladder), ladder))
+        edges.append(UpgradableEdge(e.id, e.u, e.v, ladder))
+    return UpgradableGraph(n, tuple(edges))
+
+
+def test_imst_solve_equals_the_unmemoized_pipeline():
+    rng = random.Random(20261018)
+    cases = fallbacks = 0
+    for _ in range(320):
+        minimize = rng.random() < 0.5
+        g = ladder_graph(rng, minimize)
+        total = sum(e.ladder[-1].cost for e in g.edges)
+        budget = rng.randint(0, max(1, total // 2))
+        eps = rng.choice((Fraction(3, 10), Fraction(1, 2)))
+        for seed in rng.sample(range(10_000), 3):
+            config = RandomizedConfig(eps, Fraction(1, 5), seed, rng.choice((None, 1, 3)))
+            got = imst_solve(g, budget, config, minimize=minimize)
+            want = reference_imst_solve(g, budget, config, minimize=minimize)
+            assert (got.solution, got.trials, got.best_trial) == (
+                want.solution, want.trials, want.best_trial)
+            cases += 1
+            fallbacks += got.best_trial is None
+    assert cases == 960 and fallbacks > 0
+
+
+def test_returned_trees_do_not_share_the_plan():
+    g = generate.gen_random_graph(6, 9, seed=3)
+    config = RandomizedConfig(Fraction(3, 10), Fraction(1, 5), 0)
+    first = imst_solve(g, 7, config).solution
+    first.choices.clear()
+    assert imst_solve(g, 7, config).solution == reference_imst_solve(g, 7, config).solution
+
+
+def reference_uimst(graph, k):
+    assert validate(graph) == []
+    base = [(e.id, e.u, e.v, e.ladder[0].length) for e in graph.edges]
+    improved = [(e.id, e.u, e.v, e.ladder[1].length) for e in graph.edges]
+    sol1 = solution_from_choices(graph, {eid: 0 for eid in max_spanning_tree(graph.n, base)})
+    forest = max_forest_capped(graph.n, improved, k)
+    tree2 = extend_forest_to_tree(graph.n, forest, improved, base)
+    sol2 = solution_from_choices(graph, {eid: int(eid in forest) for eid in tree2})
+    return sol1 if sol1.total_length > sol2.total_length else sol2
+
+
+def test_uimst_equals_the_unmemoized_solver_for_every_k():
+    for seed in range(60):
+        n = 3 + seed % 8
+        g = generate.gen_random_graph(n, min(n * (n - 1) // 2, 2 * n), max_len=12,
+                                      seed=seed)
+        for k in range(n + 1):
+            assert uimst_half_approx(g, k) == reference_uimst(g, k)
+
+
+def test_each_direction_keeps_its_own_plan():
+    # one graph solved both ways keeps a separate plan per direction
+    g = UpgradableGraph(3, (
+        UpgradableEdge(0, 0, 1, (ImprovementLevel(9, 0), ImprovementLevel(1, 5))),
+        UpgradableEdge(1, 1, 2, (ImprovementLevel(8, 0), ImprovementLevel(1, 5))),
+        UpgradableEdge(2, 0, 2, (ImprovementLevel(2, 0), ImprovementLevel(1, 5))),
+    ))
+    config = RandomizedConfig(Fraction(1, 2), Fraction(1, 5))
+    high = imst_solve(g, 0, config)
+    low = imst_solve(g, 0, config, minimize=True)
+    assert high.solution.total_length == 17 and low.solution.total_length == 10
+    assert imst_solve(g, 0, config).solution == high.solution
+    assert mst_uniform.base_tree(g) == (0, 1)
+    assert imst_random.imst_solve(g, 0, config, minimize=True).solution == low.solution
