@@ -1,18 +1,20 @@
 """Dynamic programs for weight-improvable longest/shortest paths in a DAG.
 
 Every solver, longest (wildag) or shortest (wisdag), runs one dynamic
-program: a per-vertex Pareto frontier of non-dominated (length, spend) pairs
-for v->sink paths (Nemhauser-Ullmann dominance lists), where each upgrade is
-charged a per-edge price.  The solvers differ only in the prices and the
-budget they pass:
+program on the caller's instance: a per-vertex Pareto frontier of
+non-dominated (length, spend) pairs for v->sink paths (Nemhauser-Ullmann
+dominance lists).  It reads each edge through a weights table,
+weights[edge id] = (base length, improved length, price), so the solvers
+differ only in the table and the budget they pass:
 
-* budget  -- the edges' own costs within B.  Spends on a frontier are
-  distinct integers in [0, B] and lengths at most n*W, so the DP is
-  O(m * min(B+1, nW)) pseudo-polynomial.
+* budget  -- the edges' own lengths and costs within B.  Spends on a
+  frontier are distinct integers in [0, B] and lengths at most n*W, so the
+  DP is O(m * min(B+1, nW)) pseudo-polynomial.
 * uniform -- every upgrade priced 1 within min(b, n-1), so spend counts
   improvements: at most min(b, n-1)+1 pairs per vertex, O(m * n) <= O(n^3).
-* fptas   -- the budget DP over lengths scaled down by a unit K; spend is
-  exact and the reported length is within (1 -/+ eps) of the optimum.
+* fptas   -- the budget DP over weights whose lengths are scaled down by a
+  unit K; spend is exact and the reported length is within (1 -/+ eps) of
+  the optimum.
 
 Frontier entries keep parent pointers, so every solver returns a fully
 reconstructed path, totalled by ``instances.evaluate_path``.
@@ -28,29 +30,23 @@ from .instances import (
     DagInstance,
     PathSolution,
     evaluate_path,
-    reachable_from,
-    reaching_to,
     require_valid,
+    st_edges,
 )
+# the reachability names stay importable here: benchmark/tracing.py rebinds them
+from .instances import reachable_from, reaching_to  # noqa: F401
 
 INF = math.inf
 
 
 class NoPathError(RuntimeError):
-    """The sink is not reachable, or no state satisfies the budget."""
+    """No source-sink path fits the budget.  Exported for callers that catch
+    it, though no solver raises it: validation rejects an unreachable sink,
+    and the unimproved path fits every nonnegative budget."""
 
 
 def _as_fraction(eps) -> Fraction:
     return Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
-
-
-def _relevant(dag: DagInstance) -> list[DagEdge]:
-    """Edges lying on some source-sink path."""
-    from_s = reachable_from(dag, dag.source)
-    to_t = reaching_to(dag, dag.sink)
-    if dag.sink not in from_s:
-        raise NoPathError("sink not reachable from source")
-    return [e for e in dag.edges if e.tail in from_s and e.head in to_t]
 
 
 def _path(dag: DagInstance, edge_ids, improved) -> PathSolution:
@@ -64,9 +60,10 @@ def _require(dag: DagInstance, budget: int, minimize: bool, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative")
 
 
-def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, costs):
+def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, weights):
     """Edge ids and improvement flags of the best source-sink path whose
-    upgrades, priced ``costs[edge id]``, fit the budget.
+    upgrades fit the budget, each edge read as
+    ``weights[edge id] = (base length, improved length, price)``.
 
     pairs[v] lists the non-dominated (length, spend) pairs of v->sink paths
     by rising spend: a pair survives when every cheaper one has a worse
@@ -77,7 +74,7 @@ def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, costs):
     """
     sign = 1 if minimize else -1
     out: dict[int, list[DagEdge]] = {}
-    for e in _relevant(dag):
+    for e in st_edges(dag):
         out.setdefault(e.tail, []).append(e)
     pairs = {dag.sink: [(0, 0)]}
     via: dict[int, dict] = {}
@@ -88,14 +85,15 @@ def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, costs):
         how = via[v] = {}
         best = length.get
         for e in out[v]:
-            down, eid, price = pairs[e.head], e.id, costs[e.id]
-            step = sign * e.base
+            down, eid = pairs[e.head], e.id
+            base, improved, price = weights[eid]
+            step = sign * base
             for w, s in down:
                 w += step
                 if w < best(s, INF):
                     length[s] = w
                     how[s] = (eid, False)
-            step, room = sign * e.improved, budget - price
+            step, room = sign * improved, budget - price
             for w, s in down:
                 if s > room:
                     break
@@ -111,14 +109,14 @@ def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, costs):
                 kept.append((floor, s))
         pairs[v] = kept
     s = pairs[dag.source][-1][1]
-    v, edge_ids, improved = dag.source, [], []
+    v, edge_ids, flags = dag.source, [], []
     while v != dag.sink:
         eid, imp = via[v][s]
         edge_ids.append(eid)
-        improved.append(imp)
-        s -= costs[eid] if imp else 0
+        flags.append(imp)
+        s -= weights[eid][2] if imp else 0
         v = dag.edges[eid].head
-    return edge_ids, improved
+    return edge_ids, flags
 
 
 def _uniform(dag: DagInstance, b: int, minimize: bool) -> PathSolution:
@@ -126,12 +124,14 @@ def _uniform(dag: DagInstance, b: int, minimize: bool) -> PathSolution:
     _require(dag, b, minimize, "improvement count")
     if len({e.cost for e in dag.edges}) > 1:
         raise ValueError("uniform solver needs equal improvement costs on all edges")
-    return _path(dag, *_frontier_dp(dag, min(b, dag.n - 1), minimize, [1] * dag.m))
+    weights = [(e.base, e.improved, 1) for e in dag.edges]
+    return _path(dag, *_frontier_dp(dag, min(b, dag.n - 1), minimize, weights))
 
 
 def _budget(dag: DagInstance, budget: int, minimize: bool) -> PathSolution:
     _require(dag, budget, minimize, "budget")
-    return _path(dag, *_frontier_dp(dag, budget, minimize, [e.cost for e in dag.edges]))
+    weights = [(e.base, e.improved, e.cost) for e in dag.edges]
+    return _path(dag, *_frontier_dp(dag, budget, minimize, weights))
 
 
 def wildag_uniform(dag: DagInstance, b: int) -> PathSolution:
@@ -158,24 +158,16 @@ def _fptas(dag: DagInstance, budget: int, eps: Fraction, unit: int,
            minimize: bool) -> PathSolution:
     """Budget DP over lengths scaled by K = max(1, floor(eps*unit/n)).
 
-    Lengths are floored for longest paths and ceiled for shortest ones.
-    Upgrades costing more than the whole budget become no-ops before scaling;
-    their flags are dropped afterwards, so the reported spend never counts one.
+    Lengths are floored for longest paths and ceiled for shortest ones; costs
+    are not scaled, and the path is totalled in original units.
     """
     k = max(1, (eps.numerator * unit) // (eps.denominator * dag.n))
 
     def scale(x: int) -> int:
         return -(-x // k) if minimize else x // k
 
-    edges = []
-    for e in dag.edges:
-        fits = e.cost <= budget
-        edges.append(DagEdge(e.id, e.tail, e.head, scale(e.base),
-                             scale(e.improved if fits else e.base), e.cost if fits else 0))
-    scaled = DagInstance(dag.n, tuple(edges), dag.source, dag.sink)
-    edge_ids, flags = _frontier_dp(scaled, budget, minimize, [e.cost for e in edges])
-    return _path(dag, edge_ids, [imp and dag.edges[eid].cost <= budget
-                                 for eid, imp in zip(edge_ids, flags)])
+    weights = [(scale(e.base), scale(e.improved), e.cost) for e in dag.edges]
+    return _path(dag, *_frontier_dp(dag, budget, minimize, weights))
 
 
 def wildag_fptas(dag: DagInstance, budget: int, eps) -> PathSolution:
@@ -210,5 +202,5 @@ def wisdag_fptas(dag: DagInstance, budget: int, eps) -> PathSolution:
 def _free_improvement_shortest(dag: DagInstance, budget: int) -> int:
     """Shortest source-sink path if affordable improvements cost nothing:
     the frontier DP at budget 0, the other upgrades priced out of reach."""
-    free = [0 if e.cost <= budget else 1 for e in dag.edges]
+    free = [(e.base, e.improved, 0 if e.cost <= budget else 1) for e in dag.edges]
     return evaluate_path(dag, *_frontier_dp(dag, 0, True, free))[0]

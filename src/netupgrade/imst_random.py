@@ -130,7 +130,8 @@ def sample_improved_forest(graph: UpgradableGraph, choices: dict[int, int],
     The tree topology is unchanged (levels are parallel copies of the same
     edge); totals are computed against `graph`.
     """
-    keep = float(1 / (1 + Fraction(eps_prime)) ** 2)
+    p, q = eps_prime.as_integer_ratio()
+    keep = q * q / ((p + q) * (p + q))  # 1/(1+p/q)^2, one correctly rounded division
     sampled = {}
     for eid, lvl in sorted(choices.items()):
         if lvl > 0 and not rng.random() < keep:

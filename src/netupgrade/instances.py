@@ -13,14 +13,16 @@ So a fact derived from an instance can be kept on the instance itself:
 dataclass fields, so ``==``, ``hash`` and ``repr`` never see it.  It holds
 successes only.  ``require_valid`` records a passed validation per
 ``improvement`` direction and never a failure, so an invalid instance raises
-the same violations on every call; the solvers keep their derived plans
-(the randomized solver's relaxation, the base-length spanning tree) there
-too.  The rule assumes the instance is built from tuples and never mutated.
+the same violations on every call.  ``st_edges`` keeps a DAG's source-sink
+edges there, which every DAG solve and ``effective_max_length`` read; the
+solvers keep their derived plans (the randomized solver's relaxation, the
+base-length spanning tree) there too.  The rule assumes the instance is
+built from tuples and never mutated.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from ._util import UnionFind
@@ -107,14 +109,11 @@ class DagInstance:
         edges off every s-t path are ignored.  This is W: the longest-path
         FPTAS derives its scaling unit from it, and ``bench`` reports it.
         """
-        from_s = reachable_from(self, self.source)
-        to_t = reaching_to(self, self.sink)
         best = 0
-        for e in self.edges:
-            if e.tail in from_s and e.head in to_t:
-                best = max(best, e.base)
-                if e.cost <= budget:
-                    best = max(best, e.improved)
+        for e in st_edges(self):
+            best = max(best, e.base)
+            if e.cost <= budget:
+                best = max(best, e.improved)
         return best
 
 
@@ -180,34 +179,41 @@ def _topological_order(n: int, edges) -> list[int] | None:
     return order if len(order) == n else None
 
 
-def reachable_from(dag: DagInstance, start: int) -> set[int]:
-    out: dict[int, list[int]] = {}
+def _walk(dag: DagInstance, start: int, forward: bool) -> set[int]:
+    """Vertices reachable from `start` along the edges, or against them."""
+    nbrs: defaultdict[int, list[int]] = defaultdict(list)
     for e in dag.edges:
-        out.setdefault(e.tail, []).append(e.head)
+        if forward:
+            nbrs[e.tail].append(e.head)
+        else:
+            nbrs[e.head].append(e.tail)
     seen = {start}
     queue = deque([start])
     while queue:
-        v = queue.popleft()
-        for w in out.get(v, ()):
+        for w in nbrs.get(queue.popleft(), ()):
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
     return seen
+
+
+def reachable_from(dag: DagInstance, start: int) -> set[int]:
+    return _walk(dag, start, forward=True)
 
 
 def reaching_to(dag: DagInstance, target: int) -> set[int]:
-    inc: dict[int, list[int]] = {}
-    for e in dag.edges:
-        inc.setdefault(e.head, []).append(e.tail)
-    seen = {target}
-    queue = deque([target])
-    while queue:
-        v = queue.popleft()
-        for w in inc.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+    return _walk(dag, target, forward=False)
+
+
+def st_edges(dag: DagInstance) -> tuple[DagEdge, ...]:
+    """Edges lying on some source-sink path, in id order; memoized."""
+    memo = _memo(dag)
+    if "st_edges" not in memo:
+        from_s = reachable_from(dag, dag.source)
+        to_t = reaching_to(dag, dag.sink)
+        memo["st_edges"] = tuple(e for e in dag.edges
+                                 if e.tail in from_s and e.head in to_t)
+    return memo["st_edges"]
 
 
 def is_connected(n: int, pairs) -> bool:

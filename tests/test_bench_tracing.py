@@ -60,3 +60,21 @@ def test_tracer_sees_one_validation_and_one_relaxation_per_graph(monkeypatch):
     assert counts["instances.validate.calls"] == 1
     assert counts["imst_random.relax.calls"] == 1
     assert counts["mst_uniform.mst.calls"] <= 2
+
+
+def test_tracer_sees_three_reachability_walks_per_fptas_solve(monkeypatch):
+    """One walk for validation and two for the source-sink edges, which the
+    scaling unit and the frontier DP share."""
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import tracing
+    from netupgrade import dag_dp
+
+    dag = generate.gen_random_dag(12, 30, max_len=500, seed=8)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        dag_dp.wildag_fptas(dag, 12, Fraction(1, 3))
+    finally:
+        tracer.uninstall()
+    _times, counts, _hit_ratio = tracer.metrics()
+    assert counts["instances.reach.calls"] == 3
