@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -365,9 +366,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.lru_cache(maxsize=1)
+def _parser_for(seed_env: str | None) -> argparse.ArgumentParser:
+    """``build_parser()`` once per value of NETUPGRADE_SEED, the one input
+    its defaults read from outside the argument list."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser_for(os.environ.get("NETUPGRADE_SEED")).parse_args(argv)
     handlers = {"gen": cmd_gen, "solve": cmd_solve,
                 "verify": cmd_verify, "bench": cmd_bench}
     try:

@@ -235,12 +235,14 @@ def _validate_graph(graph: UpgradableGraph) -> list[str]:
         bad.append("vertex count must be positive")
         return bad
     seen_ids = set()
+    endpoints_in_range = True
     for e in graph.edges:
         if e.id in seen_ids:
             bad.append(f"duplicate edge id {e.id}")
         seen_ids.add(e.id)
         if not (0 <= e.u < graph.n and 0 <= e.v < graph.n):
             bad.append(f"edge {e.id}: endpoint out of range")
+            endpoints_in_range = False
         elif e.u == e.v:
             bad.append(f"edge {e.id}: endpoints must be distinct")
         if not e.ladder:
@@ -262,7 +264,8 @@ def _validate_graph(graph: UpgradableGraph) -> list[str]:
             bad.append(f"edge {e.id}: ladder costs not nondecreasing")
     if any(e.id != i for i, e in enumerate(graph.edges)):
         bad.append(_NOT_DENSE)
-    if not is_connected(graph.n, ((e.u, e.v) for e in graph.edges)):
+    # connectivity is only defined over in-range endpoints
+    if endpoints_in_range and not is_connected(graph.n, ((e.u, e.v) for e in graph.edges)):
         bad.append("not connected")
     return bad
 
@@ -273,12 +276,14 @@ def _validate_dag(dag: DagInstance, improvement: str) -> list[str]:
         bad.append("DAG needs at least two vertices")
         return bad
     seen_ids = set()
+    endpoints_in_range = True
     for e in dag.edges:
         if e.id in seen_ids:
             bad.append(f"edge {e.id}: duplicate id")
         seen_ids.add(e.id)
         if not (0 <= e.tail < dag.n and 0 <= e.head < dag.n):
             bad.append(f"edge {e.id}: endpoint out of range")
+            endpoints_in_range = False
         if min(e.base, e.improved, e.cost) < 0:
             bad.append(f"edge {e.id}: negative length or cost")
         if improvement == "increase" and e.base > e.improved:
@@ -292,6 +297,8 @@ def _validate_dag(dag: DagInstance, improvement: str) -> list[str]:
         return bad
     if dag.source == dag.sink:
         bad.append("source and sink must differ")
+    if not endpoints_in_range:  # the graph walks below index by endpoint
+        return bad
     if _topological_order(dag.n, dag.edges) is None:
         bad.append("not acyclic")
         return bad

@@ -12,12 +12,23 @@ serialize(parse(serialize(x))) is byte-identical.  ``parse`` accepts edges in
 any order and stores them sorted by id, because solvers look an edge up as
 ``edges[id]``.  "n" is at most MAX_VERTICES, so validation and the solvers'
 per-vertex arrays stay small.
+
+A "wildag" document in canonical shape is read in one checked pass: exact
+``int`` source and sink, ``"directed": true``, and edges whose keys are
+exactly id/u/v/ladder, with exact ``int`` fields and a ladder of two
+[length, cost] pairs whose first cost is 0.  The pass builds the instance
+directly and validates it once.  At the first departure from that shape it
+hands the whole document to the per-field path, which decides whether the
+document is accepted (it also allows extra keys) and words every
+error.  "imst" documents always take the per-field path.  Undecodable input
+(bad UTF-8, JSON nested past the recursion limit) is a FormatError at "$".
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 
 from ._util import fnv1a64
 from .instances import (
@@ -65,11 +76,16 @@ def _want(doc: dict, key: str, kind, location: str):
 def parse(data: bytes | str) -> Problem:
     """Parse and validate an instance document."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"invalid UTF-8: {exc}") from None
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError("top-level value must be an object")
     kind = _want(doc, "kind", str, "$")
@@ -82,6 +98,11 @@ def parse(data: bytes | str) -> Problem:
     if budget < 0:
         raise FormatError("budget must be nonnegative", "$.budget")
     raw_edges = _want(doc, "edges", list, "$")
+    if kind == "wildag":
+        dag = _canonical_dag(doc, n, raw_edges)
+        if dag is not None:
+            _require_valid(dag, "$")
+            return Problem("wildag", budget, dag=dag)
     edges = []
     for i, entry in enumerate(raw_edges):
         loc = f"$.edges[{i}]"
@@ -123,6 +144,37 @@ def parse(data: bytes | str) -> Problem:
     dag = DagInstance(n, tuple(sorted(dag_edges, key=lambda e: e.id)), source, sink)
     _require_valid(dag, "$")
     return Problem("wildag", budget, dag=dag)
+
+
+_EDGE_KEYS = {"id", "u", "v", "ladder"}
+
+
+def _canonical_dag(doc: dict, n: int, raw_edges: list) -> DagInstance | None:
+    """The instance of a "wildag" document in canonical shape, built in one
+    pass; None at the first departure from that shape, whether or not the
+    per-field path would accept the document."""
+    source, sink = doc.get("source"), doc.get("sink")
+    if type(source) is not int or type(sink) is not int or doc.get("directed") is not True:
+        return None
+    edges = []
+    for entry in raw_edges:
+        if type(entry) is not dict or entry.keys() != _EDGE_KEYS:
+            return None
+        eid, u, v, ladder = entry["id"], entry["u"], entry["v"], entry["ladder"]
+        if (type(eid) is not int or type(u) is not int or type(v) is not int
+                or type(ladder) is not list or len(ladder) != 2):
+            return None
+        low, high = ladder
+        if (type(low) is not list or type(high) is not list
+                or len(low) != 2 or len(high) != 2):
+            return None
+        (l, c0), (h, q) = low, high
+        if (type(l) is not int or type(c0) is not int or c0
+                or type(h) is not int or type(q) is not int):
+            return None
+        edges.append(DagEdge(eid, u, v, l, h, q))
+    edges.sort(key=attrgetter("id"))
+    return DagInstance(n, tuple(edges), source, sink)
 
 
 def _require_valid(instance, location: str) -> None:

@@ -78,3 +78,23 @@ def test_tracer_sees_three_reachability_walks_per_fptas_solve(monkeypatch):
         tracer.uninstall()
     _times, counts, _hit_ratio = tracer.metrics()
     assert counts["instances.reach.calls"] == 3
+
+
+def test_tracer_sees_one_parse_and_one_validation_per_dag_solve(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import tracing
+
+    dag = tmp_path / "d.json"
+    assert cli.main(["gen", "--kind", "wildag", "--n", "9", "--m", "20", "--seed", "4",
+                     "--budget", "6", "--out", str(dag)]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["solve", "--algo", "wildag-exact", "--in", str(dag),
+                         "--no-timing"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    _times, counts, _hit_ratio = tracer.metrics()
+    assert counts["serialization.parse.calls"] == 1
+    assert counts["instances.validate.calls"] == 1

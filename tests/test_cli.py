@@ -266,3 +266,27 @@ def test_uniform_rejects_a_negative_budget_whatever_the_upgrade_cost(
     code, out, _err = run(capsys, "solve", "--algo", algo, "--in", str(path),
                           "--budget", "0", "--no-timing")
     assert code == 0 and json.loads(out)["feasible"] is True
+
+
+@pytest.mark.parametrize("data,message", [
+    (b'\xff', "error: $: invalid UTF-8: "),
+    (b'[' * 100_000, "error: $: invalid JSON: nested too deeply"),
+], ids=["bad-utf8", "deep"])
+def test_undecodable_input_exits_2_with_one_line(data, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "solve", "--algo", "wildag-exact", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_seed_default_follows_the_env_between_calls(tmp_path, capsys, monkeypatch):
+    path = gen_file(tmp_path, capsys)
+    seeds = []
+    for value in ("5", "6"):
+        monkeypatch.setenv("NETUPGRADE_SEED", value)
+        code, out, _ = run(capsys, "solve", "--algo", "uimst", "--k", "1",
+                           "--in", str(path), "--no-timing")
+        assert code == 0
+        seeds.append(json.loads(out)["seed"])
+    assert seeds == [5, 6]

@@ -216,3 +216,73 @@ def test_parse_orders_dag_edges_by_id():
     sol = wildag_budget_exact(p.dag, 1)
     assert sol.edge_ids == (0, 1)
     assert (sol.total_length, sol.total_spend) == (7, 1)
+
+
+def _dag_document(n: int, m: int) -> bytes:
+    return serialize(Problem("wildag", 3, dag=generate.gen_random_dag(n, m, seed=n)))
+
+
+def test_canonical_dag_parse_checks_fields_once_per_document(monkeypatch):
+    # the checked pass reads every edge without a per-field _want call
+    from netupgrade import serialization
+
+    counts = []
+    for n, m in ((6, 10), (60, 1000)):
+        calls = []
+        real = serialization._want
+        monkeypatch.setattr(serialization, "_want",
+                            lambda *a: calls.append(a[1]) or real(*a))
+        assert parse(_dag_document(n, m)).dag.m == m
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_extra_edge_keys_fall_back_to_the_per_field_path():
+    data = _dag_document(6, 10)
+    doc = json.loads(data)
+    for edge in doc["edges"]:
+        edge["note"] = "kept out"
+    assert serialize(parse(json.dumps(doc))) == data
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("source", True, "$.source: field 'source' must be int"),
+    ("sink", 1.0, "$.sink: field 'sink' must be int"),
+    ("directed", 1, "$.directed: field 'directed' must be bool"),
+])
+def test_noncanonical_dag_fields_keep_their_error_text(key, value, message):
+    doc = json.loads(_dag_document(6, 10))
+    doc[key] = value
+    with pytest.raises(FormatError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("data,message", [
+    (b'\xff', "$: invalid UTF-8: "),
+    (b'{"kind":"wildag","n":2,"budget":0,"edges":[' + b'[' * 100_000,
+     "$: invalid JSON: nested too deeply"),
+    (b'[' * 100_000, "$: invalid JSON: nested too deeply"),
+], ids=["bad-utf8", "deep-edges", "deep"])
+def test_undecodable_documents_are_format_errors(data, message):
+    with pytest.raises(FormatError) as exc:
+        parse(data)
+    assert str(exc.value).startswith(message)
+    assert exc.value.location == "$"
+
+
+@pytest.mark.parametrize("kind,endpoint", [
+    ("imst", 3), ("imst", 10**20), ("wildag", 3), ("wildag", 10**20)])
+def test_out_of_range_endpoints_are_reported_not_raised(kind, endpoint):
+    # connectivity and acyclicity walks index by endpoint; validation must
+    # report the endpoint instead of failing inside them
+    doc = {"kind": kind, "n": 3, "budget": 1,
+           "edges": [{"id": 0, "u": 0, "v": 1, "ladder": [[1, 0], [2, 1]]},
+                     {"id": 1, "u": 1, "v": endpoint, "ladder": [[1, 0], [2, 1]]}],
+           "directed": kind == "wildag"}
+    if kind == "wildag":
+        doc.update(source=0, sink=2)
+    with pytest.raises(FormatError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value) == "$: invalid instance: edge 1: endpoint out of range"
