@@ -45,7 +45,11 @@ def _int_list(text: str) -> list[int]:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("NETUPGRADE_SEED", "0"))
+    value = os.environ.get("NETUPGRADE_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"NETUPGRADE_SEED must be an integer, got {value!r}") from None
 
 
 def _emit(doc: dict) -> None:
@@ -374,10 +378,10 @@ def _parser_for(seed_env: str | None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser_for(os.environ.get("NETUPGRADE_SEED")).parse_args(argv)
     handlers = {"gen": cmd_gen, "solve": cmd_solve,
                 "verify": cmd_verify, "bench": cmd_bench}
     try:
+        args = _parser_for(os.environ.get("NETUPGRADE_SEED")).parse_args(argv)
         return handlers[args.command](args)
     except (UsageError, InvalidInstanceError, FormatError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

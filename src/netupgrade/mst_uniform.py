@@ -3,7 +3,8 @@
 Builds two candidate trees: a maximum spanning tree on base lengths, and a
 size-capped greedy forest on improved lengths extended to a tree by base
 edges.  The longer of the two is within a factor 1/2 of the optimum for any
-improvement cap k.  The base-length tree does not depend on k, so it is
+improvement cap k.  The base-length tree and the two edge orders Kruskal
+reads (by base and by improved length) do not depend on k, so each is
 computed once per graph and kept in the graph's memo.
 """
 
@@ -25,12 +26,17 @@ from .instances import (
 WeightedEdge = tuple[int, int, int, int]
 
 
-def _greedy(n: int, edges: Sequence[WeightedEdge], cap: int | None,
+def _by_weight(edges: Sequence[WeightedEdge]) -> list[WeightedEdge]:
+    """Kruskal's order: descending weight, ties broken by ascending edge id."""
+    return sorted(edges, key=lambda e: (-e[3], e[0]))
+
+
+def _greedy(n: int, ordered: Sequence[WeightedEdge], cap: int | None,
             seed_uf: UnionFind | None = None) -> list[int]:
-    """Kruskal on descending weight; ties broken by ascending edge id."""
+    """Kruskal over edges already in ``_by_weight`` order."""
     uf = seed_uf if seed_uf is not None else UnionFind(n)
     chosen = []
-    for eid, u, v, _w in sorted(edges, key=lambda e: (-e[3], e[0])):
+    for eid, u, v, _w in ordered:
         if cap is not None and len(chosen) >= cap:
             break
         if uf.union(u, v):
@@ -40,7 +46,7 @@ def _greedy(n: int, edges: Sequence[WeightedEdge], cap: int | None,
 
 def max_spanning_tree(n: int, edges: Sequence[WeightedEdge]) -> list[int]:
     """Maximum-weight spanning tree; raises on a disconnected graph."""
-    chosen = _greedy(n, edges, None)
+    chosen = _greedy(n, _by_weight(edges), None)
     if len(chosen) != n - 1:
         raise DisconnectedGraphError("graph is not connected")
     return chosen
@@ -50,7 +56,7 @@ def max_forest_capped(n: int, edges: Sequence[WeightedEdge], k: int) -> tuple[in
     """Edge ids of the greedy maximum forest with at most k edges."""
     if k < 0:
         raise ValueError("cap must be nonnegative")
-    return tuple(_greedy(n, edges, k))
+    return tuple(_greedy(n, _by_weight(edges), k))
 
 
 def extend_forest_to_tree(n: int, forest_ids, all_edges: Sequence[WeightedEdge],
@@ -69,10 +75,21 @@ def extend_forest_to_tree(n: int, forest_ids, all_edges: Sequence[WeightedEdge],
             raise ValueError("forest contains a cycle")
     forest = set(forest_ids)
     fill = [e for e in fill_edges if e[0] not in forest]
-    tree = list(forest_ids) + _greedy(n, fill, None, seed_uf=uf)
+    tree = list(forest_ids) + _greedy(n, _by_weight(fill), None, seed_uf=uf)
     if len(tree) != n - 1:
         raise DisconnectedGraphError("graph is not connected")
     return tree
+
+
+def _level_order(graph: UpgradableGraph, level: int) -> list[WeightedEdge]:
+    """The graph's edges weighted by their ``level`` lengths, in ``_by_weight``
+    order, memoized on the graph."""
+    memo = _memo(graph)
+    key = ("level_order", level)
+    if key not in memo:
+        memo[key] = _by_weight([(e.id, e.u, e.v, e.ladder[level].length)
+                                for e in graph.edges])
+    return memo[key]
 
 
 def base_tree(graph: UpgradableGraph) -> tuple[int, ...]:
@@ -80,8 +97,7 @@ def base_tree(graph: UpgradableGraph) -> tuple[int, ...]:
     the graph."""
     memo = _memo(graph)
     if "base_tree" not in memo:
-        base = [(e.id, e.u, e.v, e.ladder[0].length) for e in graph.edges]
-        memo["base_tree"] = tuple(max_spanning_tree(graph.n, base))
+        memo["base_tree"] = tuple(max_spanning_tree(graph.n, _level_order(graph, 0)))
     return memo["base_tree"]
 
 
@@ -96,13 +112,12 @@ def uimst_half_approx(graph: UpgradableGraph, k: int) -> TreeSolution:
         raise ValueError("uimst_half_approx needs two-level ladders")
     if k < 0:
         raise ValueError("cap must be nonnegative")
-    base = [(e.id, e.u, e.v, e.ladder[0].length) for e in graph.edges]
-    improved = [(e.id, e.u, e.v, e.ladder[1].length) for e in graph.edges]
-
     sol1 = solution_from_choices(graph, dict.fromkeys(base_tree(graph), 0))
 
-    forest = max_forest_capped(graph.n, improved, k)
-    tree2 = extend_forest_to_tree(graph.n, forest, improved, base)
+    # the fill skips each forest edge's base copy, whose endpoints the forest joins
+    uf = UnionFind(graph.n)
+    forest = _greedy(graph.n, _level_order(graph, 1), k, seed_uf=uf)
+    tree2 = forest + _greedy(graph.n, _level_order(graph, 0), None, seed_uf=uf)
     upgraded = set(forest)
     choices2 = {eid: int(eid in upgraded) for eid in tree2}
     sol2 = solution_from_choices(graph, choices2)

@@ -9,9 +9,14 @@ length >= OPT(B) and cost <= (1+eps)*B.  The scheme:
    multiplier of the budget constraint by a chord (Newton) search on the
    piecewise-linear dual over exact rationals.  Either the unconstrained
    optimum is feasible, or two optimal trees bracket the budget at the same
-   multiplier.  A forest is skipped when its length plus its longest residual
-   tree (the tree at multiplier 0) is strictly below the longest tree found
-   so far, since that sum bounds every tree the forest can yield.
+   multiplier.  The tree a forest S yields costs at most B_S + c_max, where
+   B_S = B - c(S) and c_max is the largest residual cost: it is the exact hit
+   or the first tree of step 3 past B_S.  Every residual tree T' that cheap
+   satisfies l(T') <= l(T_lam) - lam*(c(T_lam) - B_S - c_max) at each
+   multiplier lam >= 0, since T_lam maximizes l - lam*c.  The search for S
+   ends as soon as l(S) plus this bound at a chord iterate (at lam = 0: the
+   longest residual tree) is strictly below the longest tree found so far;
+   a forest that could tie still reaches the copy-id tie-break.
 3. Walk a chain of single edge exchanges between the bracketing trees; every
    intermediate tree is Lagrangian-optimal, so the first tree whose cost
    exceeds the residual budget has length >= OPT while overshooting the
@@ -93,11 +98,22 @@ def lambda_search(mg: MultiGraph, budget: int) -> LambdaSearchResult:
     return _search_from(mg, budget, lagrangian_tree(mg, Fraction(0), budget))
 
 
-def _search_from(mg: MultiGraph, budget: int, p_lo: LagrangianPoint) -> LambdaSearchResult:
-    """lambda_search after its first solve, p_lo = the tree at multiplier 0."""
+def _search_from(mg: MultiGraph, budget: int, p_lo: LagrangianPoint,
+                 need: int | None = None) -> LambdaSearchResult | None:
+    """lambda_search after its first solve, p_lo = the tree at multiplier 0.
+
+    With ``need`` set, returns None as soon as a solved tree proves that the
+    tree this search yields is shorter than ``need`` (module docstring, step 2).
+    """
+    # the tree at multiplier 0 is the longest tree, so it bounds every tree
+    # this search can yield, over-budget ones included
+    if need is not None and p_lo.length < need:
+        return None
     if p_lo.cost <= budget:
         return LambdaSearchResult(exact=p_lo)
     total_cost = sum(c.cost for c in mg.copies)
+    # the yielded tree costs at most one copy more than the budget
+    reach = budget + max((c.cost for c in mg.copies), default=0)
     p_hi = lagrangian_tree(mg, Fraction(sum(c.length for c in mg.copies) + 1), budget)
     if p_hi.cost > budget:
         raise DisconnectedGraphError("no budget-feasible spanning tree")
@@ -106,6 +122,8 @@ def _search_from(mg: MultiGraph, budget: int, p_lo: LagrangianPoint) -> LambdaSe
     while True:
         lam = Fraction(p_lo.length - p_hi.length, p_lo.cost - p_hi.cost)
         under = lagrangian_tree(mg, lam, budget)
+        if need is not None and under.length - lam * (under.cost - reach) < need:
+            return None
         line = p_hi.length - lam * (p_hi.cost - budget)
         if under.lagrangian_value == line:
             break
@@ -246,14 +264,13 @@ def _solve_with_heavy_subset(light: list[EdgeCopy], subset: tuple[EdgeCopy, ...]
         EdgeCopy(c.copy_id, labels[c.u], labels[c.v], c.length, c.cost, c.edge_id, c.level)
         for c in light if labels[c.u] != labels[c.v])
     res = MultiGraph(k, res_copies)
+    need = None if incumbent is None else incumbent - sum(c.length for c in subset)
     try:
-        at_zero = lagrangian_tree(res, Fraction(0), residual_budget)
-        # the tree at multiplier 0 is the longest residual tree, so it bounds
-        # every tree this forest can return, over-budget ones included
-        if incumbent is not None and sum(c.length for c in subset) + at_zero.length < incumbent:
-            return None
-        found = _search_from(res, residual_budget, at_zero)
+        found = _search_from(res, residual_budget,
+                             lagrangian_tree(res, Fraction(0), residual_budget), need)
     except DisconnectedGraphError:
+        return None
+    if found is None:
         return None
     if found.exact is not None:
         return subset_ids + found.exact.copy_ids

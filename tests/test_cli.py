@@ -290,3 +290,12 @@ def test_seed_default_follows_the_env_between_calls(tmp_path, capsys, monkeypatc
         assert code == 0
         seeds.append(json.loads(out)["seed"])
     assert seeds == [5, 6]
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_non_integer_seed_env_exits_2_with_one_line(value, tmp_path, capsys, monkeypatch):
+    path = gen_file(tmp_path, capsys)
+    monkeypatch.setenv("NETUPGRADE_SEED", value)
+    code, out, err = run(capsys, "solve", "--algo", "uimst", "--k", "1", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: NETUPGRADE_SEED must be an integer, got {value!r}\n"

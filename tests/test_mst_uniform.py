@@ -8,6 +8,7 @@ from netupgrade.instances import (
     ImprovementLevel,
     UpgradableEdge,
     UpgradableGraph,
+    solution_from_choices,
 )
 from netupgrade.mst_uniform import (
     extend_forest_to_tree,
@@ -103,3 +104,42 @@ def test_tie_prefers_improved_forest_tree():
     sol = uimst_half_approx(g, 1)
     assert sol.total_length == 4
     assert sol.improved_edges() == [0]
+
+
+def _ref_uimst(graph, k):
+    # the solver as it was before it kept its edge orders in the graph's
+    # memo: both lists are rebuilt and sorted on every call
+    def kruskal(edges, cap, parent):
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+        chosen = []
+        for eid, u, v, _w in sorted(edges, key=lambda e: (-e[3], e[0])):
+            if cap is not None and len(chosen) >= cap:
+                break
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                parent[ru] = rv
+                chosen.append(eid)
+        return chosen
+
+    base = [(e.id, e.u, e.v, e.ladder[0].length) for e in graph.edges]
+    improved = [(e.id, e.u, e.v, e.ladder[1].length) for e in graph.edges]
+    sol1 = solution_from_choices(graph, dict.fromkeys(kruskal(base, None, list(range(graph.n))), 0))
+    forest = kruskal(improved, k, list(range(graph.n)))
+    parent = list(range(graph.n))
+    kruskal([e for e in improved if e[0] in forest], None, parent)
+    tree2 = forest + kruskal([e for e in base if e[0] not in forest], None, parent)
+    sol2 = solution_from_choices(graph, {eid: int(eid in forest) for eid in tree2})
+    return sol1 if sol1.total_length > sol2.total_length else sol2
+
+
+def test_half_approx_matches_the_per_call_sorting_solver_for_every_k():
+    for seed in range(60):
+        n = 3 + seed % 10
+        # short lengths make equal weights common, so the id tie-break is exercised
+        g = generate.gen_random_graph(n, min(n * (n - 1) // 2, n + seed % 7),
+                                      max_len=4 + seed % 3 * 10, seed=1000 + seed)
+        assert [uimst_half_approx(g, k) for k in range(n)] == [
+            _ref_uimst(g, k) for k in range(n)]

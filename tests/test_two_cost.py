@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netupgrade import generate
+from netupgrade import generate, two_cost
 from netupgrade._util import UnionFind
 from netupgrade.instances import (
     DisconnectedGraphError,
@@ -20,6 +20,7 @@ from netupgrade.two_cost import (
     LambdaSearchResult,
     TwoCostResult,
     _heavy_forests,
+    _solve_with_heavy_subset,
     lagrangian_tree,
     lambda_search,
     swap_chain,
@@ -325,3 +326,90 @@ def test_heavy_forests_stream_matches_brute_force():
             rank = {}
             assert labels == [rank.setdefault(uf.find(v), len(rank)) for v in range(mg.n)]
             assert len(rank) == mg.n - len(ids)
+
+
+def _heavy_cases(rng, hs, n_lo, n_hi):
+    """(mg, budget, eps) with exactly h heavy copies, for each h in hs."""
+    for h in hs:
+        while True:
+            mg = _random_mg(rng, rng.randint(n_lo, n_hi), max_cost=30)
+            eps = rng.choice([Fraction(1, 2), Fraction(1, 4)])
+            costs = sorted((c.cost for c in mg.copies), reverse=True)
+            # eps*budget in [costs[h], costs[h-1]) leaves exactly h heavy copies
+            budget = -(-costs[h] // eps)
+            if eps * budget < costs[h - 1]:
+                break
+        assert sum(c.cost > eps * budget for c in mg.copies) == h
+        yield mg, budget, eps
+
+
+def test_dual_abort_cuts_mst_solves_on_the_eager_reference_corpus(monkeypatch):
+    # the corpus of test_two_cost_mst_matches_eager_reference_with_heavy_copies;
+    # without the early abort the solver makes 2,349 MST solves on it
+    calls = 0
+    solve = two_cost.lagrangian_tree
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(two_cost, "lagrangian_tree", counted)
+    for mg, budget, eps in _heavy_cases(random.Random(777), [2, 3, 4, 5, 6, 7, 8] * 2, 10, 16):
+        two_cost_mst(mg, budget, eps)
+    assert calls <= 1600
+
+
+def test_two_cost_mst_matches_eager_reference_at_twenty_vertices():
+    for mg, budget, eps in _heavy_cases(random.Random(2020), [8, 9, 10] * 2, 18, 20):
+        assert two_cost_mst(mg, budget, eps) == _ref_two_cost_mst(mg, budget, eps)
+
+
+def test_dual_bound_holds_for_the_tree_a_residual_search_yields(monkeypatch):
+    # the premise of the early abort: the tree the search and swap chain yield
+    # costs at most B + c_max, so at every multiplier lam it is no longer than
+    # l(T_lam) - lam*(c(T_lam) - B - c_max)
+    points = []
+    solve = two_cost.lagrangian_tree
+
+    def recorded(mg, lam, budget):
+        points.append(solve(mg, lam, budget))
+        return points[-1]
+
+    monkeypatch.setattr(two_cost, "lagrangian_tree", recorded)
+    rng = random.Random(31337)
+    graphs = chords = 0
+    while graphs < 200:
+        mg = _random_mg(rng, rng.randint(3, 10))
+        by_id = {c.copy_id: c for c in mg.copies}
+        c_max = max(c.cost for c in mg.copies)
+        cheapest = solve(mg, Fraction(sum(c.length for c in mg.copies) + 1), 0).cost
+        longest = solve(mg, Fraction(0), 0).cost
+        graphs += cheapest < longest
+        for budget in range(cheapest, longest):
+            points.clear()
+            ids = _solve_with_heavy_subset(list(mg.copies), (), list(range(mg.n)), budget, None)
+            length = sum(by_id[i].length for i in ids)
+            assert sum(by_id[i].cost for i in ids) <= budget + c_max
+            for p in points:
+                assert p.multiplier >= 0
+                assert length <= p.length - p.multiplier * (p.cost - budget - c_max), (mg, budget)
+            chords += len(points) - 3
+    assert chords >= 1000
+
+
+def test_two_cost_mst_matches_eager_reference_where_forests_tie():
+    # small integer lengths make equal-length forests common, so a forest the
+    # early abort drops on a tie with the incumbent would change the tie-break
+    rng = random.Random(1)
+    for _ in range(150):
+        mg = _random_mg(rng, rng.randint(4, 9), max_cost=rng.choice([3, 6, 12]))
+        eps = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
+        budget = rng.randint(0, max(lagrangian_tree(mg, Fraction(0), 0).cost, 1))
+        try:
+            expected = _ref_two_cost_mst(mg, budget, eps)
+        except DisconnectedGraphError:
+            with pytest.raises(DisconnectedGraphError):
+                two_cost_mst(mg, budget, eps)
+            continue
+        assert two_cost_mst(mg, budget, eps) == expected, (mg, budget, eps)
