@@ -52,6 +52,11 @@ def _default_seed() -> int:
         raise UsageError(f"NETUPGRADE_SEED must be an integer, got {value!r}") from None
 
 
+def _given(value, default):
+    """An option's value, or ``default`` when it was not given; 0 is a value."""
+    return default if value is None else value
+
+
 def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
@@ -106,7 +111,7 @@ def _on_multigraph(graph, budget: int, copy_ids) -> tuple:
 
 def _imst(graph, budget: int, opts) -> tuple:
     config = imst_random.RandomizedConfig(
-        epsilon=opts.epsilon or Fraction(3, 10), delta=opts.delta or Fraction(1, 5),
+        epsilon=_given(opts.epsilon, Fraction(3, 10)), delta=_given(opts.delta, Fraction(1, 5)),
         master_seed=opts.seed, trials=opts.trials)
     return _tree(imst_random.imst_solve(graph, budget, config,
                                         minimize=opts.minimize).solution)
@@ -134,7 +139,7 @@ class UsageError(RuntimeError):
 TREE_ALGOS = {
     "uimst": lambda g, b, o: _tree(mst_uniform.uimst_half_approx(g, o.k or 0)),
     "twocost": lambda g, b, o: _on_multigraph(
-        g, b, lambda mg: two_cost.two_cost_mst(mg, b, o.epsilon or Fraction(1, 2)).copy_ids),
+        g, b, lambda mg: two_cost.two_cost_mst(mg, b, _given(o.epsilon, Fraction(1, 2))).copy_ids),
     "imst": _imst,
     "exact-imst": lambda g, b, o: _tree(oracle.exact_imst(g, b)[1]),
     "exact-twocost": lambda g, b, o: _on_multigraph(
@@ -143,10 +148,10 @@ TREE_ALGOS = {
 DAG_ALGOS = {
     "wildag-uniform": lambda d, b, o: dag_dp.wildag_uniform(d, _improvement_cap(d, b)),
     "wildag-exact": lambda d, b, o: dag_dp.wildag_budget_exact(d, b),
-    "wildag-fptas": lambda d, b, o: dag_dp.wildag_fptas(d, b, o.epsilon or Fraction(1, 2)),
+    "wildag-fptas": lambda d, b, o: dag_dp.wildag_fptas(d, b, _given(o.epsilon, Fraction(1, 2))),
     "wisdag-uniform": lambda d, b, o: dag_dp.wisdag_uniform(d, _improvement_cap(d, b)),
     "wisdag-exact": lambda d, b, o: dag_dp.wisdag_budget_exact(d, b),
-    "wisdag-fptas": lambda d, b, o: dag_dp.wisdag_fptas(d, b, o.epsilon or Fraction(1, 2)),
+    "wisdag-fptas": lambda d, b, o: dag_dp.wisdag_fptas(d, b, _given(o.epsilon, Fraction(1, 2))),
     "exact-wildag": lambda d, b, o: oracle.exact_wildag(d, b)[1],
     "exact-wisdag": lambda d, b, o: oracle.exact_wisdag(d, b)[1],
 }
@@ -215,8 +220,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"verify does not support algorithm {args.algo!r}")
     if args.algo == "imst" and args.trials < 1:
         raise UsageError("--trials must be positive")
-    eps = args.epsilon or Fraction(3, 10)
-    delta = args.delta or Fraction(1, 5)
+    eps = _given(args.epsilon, Fraction(3, 10))
+    delta = _given(args.delta, Fraction(1, 5))
     writer = csv.DictWriter(sys.stdout, fieldnames=VERIFY_FIELDS, lineterminator="\n")
     writer.writeheader()
     rows = []

@@ -13,15 +13,15 @@ any order and stores them sorted by id, because solvers look an edge up as
 ``edges[id]``.  "n" is at most MAX_VERTICES, so validation and the solvers'
 per-vertex arrays stay small.
 
-A "wildag" document in canonical shape is read in one checked pass: exact
-``int`` source and sink, ``"directed": true``, and edges whose keys are
-exactly id/u/v/ladder, with exact ``int`` fields and a ladder of two
-[length, cost] pairs whose first cost is 0.  The pass builds the instance
-directly and validates it once.  At the first departure from that shape it
-hands the whole document to the per-field path, which decides whether the
-document is accepted (it also allows extra keys) and words every
-error.  "imst" documents always take the per-field path.  Undecodable input
-(bad UTF-8, JSON nested past the recursion limit) is a FormatError at "$".
+Every document is read in one checked pass over its edges, which builds
+the instance's edges directly; the instance is then validated once.  Fields
+are tested with exact ``type(x) is int``/``list``/``dict`` checks, which equal
+``_want``'s for ``json.loads`` output; ``_want`` runs only to word an error.
+Extra keys are accepted.  A "wildag" ladder-shape error (two levels, level 0
+free) is raised only after every edge's field checks and after "source",
+"sink" and "directed", as the first such error in input order.  Undecodable
+input (bad UTF-8, JSON nested past the recursion limit) is a FormatError at
+"$".
 """
 
 from __future__ import annotations
@@ -98,83 +98,51 @@ def parse(data: bytes | str) -> Problem:
     if budget < 0:
         raise FormatError("budget must be nonnegative", "$.budget")
     raw_edges = _want(doc, "edges", list, "$")
-    if kind == "wildag":
-        dag = _canonical_dag(doc, n, raw_edges)
-        if dag is not None:
-            _require_valid(dag, "$")
-            return Problem("wildag", budget, dag=dag)
+    imst = kind == "imst"
     edges = []
+    shape_error = None  # first wildag ladder-shape error; raised after every field check
     for i, entry in enumerate(raw_edges):
-        loc = f"$.edges[{i}]"
-        if not isinstance(entry, dict):
-            raise FormatError("edge must be an object", loc)
-        eid = _want(entry, "id", int, loc)
-        u = _want(entry, "u", int, loc)
-        v = _want(entry, "v", int, loc)
-        ladder = _want(entry, "ladder", list, loc)
-        steps = []
+        if type(entry) is not dict:
+            raise FormatError("edge must be an object", f"$.edges[{i}]")
+        eid, u, v, ladder = entry.get("id"), entry.get("u"), entry.get("v"), entry.get("ladder")
+        if (type(eid) is not int or type(u) is not int or type(v) is not int
+                or type(ladder) is not list):
+            for key, want in (("id", int), ("u", int), ("v", int), ("ladder", list)):
+                _want(entry, key, want, f"$.edges[{i}]")
         for j, step in enumerate(ladder):
-            if (not isinstance(step, list) or len(step) != 2
-                    or any(isinstance(x, bool) or not isinstance(x, int) for x in step)):
+            if (type(step) is not list or len(step) != 2
+                    or type(step[0]) is not int or type(step[1]) is not int):
                 raise FormatError("ladder entry must be [length, cost]",
-                                  f"{loc}.ladder[{j}]")
-            steps.append((step[0], step[1]))
-        edges.append((eid, u, v, steps))
-    if kind == "imst":
+                                  f"$.edges[{i}].ladder[{j}]")
+        if imst:
+            edges.append(UpgradableEdge(eid, u, v, tuple(
+                ImprovementLevel(l, c) for l, c in ladder)))
+            continue
+        if len(ladder) == 2:
+            (l, c0), (h, q) = ladder
+            if c0 == 0:
+                edges.append(DagEdge(eid, u, v, l, h, q))
+                continue
+        if shape_error is None:
+            shape_error = FormatError("wildag ladders must have exactly two levels"
+                                      if len(ladder) != 2 else "level 0 must cost 0",
+                                      f"$.edges[{i}].ladder")
+    edges.sort(key=attrgetter("id"))
+    if imst:
         if _want(doc, "directed", bool, "$"):
             raise FormatError('"imst" instances must have "directed": false', "$.directed")
-        graph = UpgradableGraph(n, tuple(sorted(
-            (UpgradableEdge(eid, u, v, tuple(ImprovementLevel(l, c) for l, c in steps))
-             for eid, u, v, steps in edges), key=lambda e: e.id)))
+        graph = UpgradableGraph(n, tuple(edges))
         _require_valid(graph, "$")
         return Problem("imst", budget, graph=graph)
     source = _want(doc, "source", int, "$")
     sink = _want(doc, "sink", int, "$")
     if not _want(doc, "directed", bool, "$"):
         raise FormatError('"wildag" instances must have "directed": true', "$.directed")
-    dag_edges = []
-    for i, (eid, u, v, steps) in enumerate(edges):
-        if len(steps) != 2:
-            raise FormatError("wildag ladders must have exactly two levels",
-                              f"$.edges[{i}].ladder")
-        (l, c0), (h, q) = steps
-        if c0 != 0:
-            raise FormatError("level 0 must cost 0", f"$.edges[{i}].ladder")
-        dag_edges.append(DagEdge(eid, u, v, l, h, q))
-    dag = DagInstance(n, tuple(sorted(dag_edges, key=lambda e: e.id)), source, sink)
+    if shape_error is not None:
+        raise shape_error
+    dag = DagInstance(n, tuple(edges), source, sink)
     _require_valid(dag, "$")
     return Problem("wildag", budget, dag=dag)
-
-
-_EDGE_KEYS = {"id", "u", "v", "ladder"}
-
-
-def _canonical_dag(doc: dict, n: int, raw_edges: list) -> DagInstance | None:
-    """The instance of a "wildag" document in canonical shape, built in one
-    pass; None at the first departure from that shape, whether or not the
-    per-field path would accept the document."""
-    source, sink = doc.get("source"), doc.get("sink")
-    if type(source) is not int or type(sink) is not int or doc.get("directed") is not True:
-        return None
-    edges = []
-    for entry in raw_edges:
-        if type(entry) is not dict or entry.keys() != _EDGE_KEYS:
-            return None
-        eid, u, v, ladder = entry["id"], entry["u"], entry["v"], entry["ladder"]
-        if (type(eid) is not int or type(u) is not int or type(v) is not int
-                or type(ladder) is not list or len(ladder) != 2):
-            return None
-        low, high = ladder
-        if (type(low) is not list or type(high) is not list
-                or len(low) != 2 or len(high) != 2):
-            return None
-        (l, c0), (h, q) = low, high
-        if (type(l) is not int or type(c0) is not int or c0
-                or type(h) is not int or type(q) is not int):
-            return None
-        edges.append(DagEdge(eid, u, v, l, h, q))
-    edges.sort(key=attrgetter("id"))
-    return DagInstance(n, tuple(edges), source, sink)
 
 
 def _require_valid(instance, location: str) -> None:

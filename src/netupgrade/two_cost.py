@@ -87,24 +87,18 @@ def lagrangian_tree(mg: MultiGraph, lam: Fraction, budget: int) -> LagrangianPoi
     return LagrangianPoint(lam, tuple(sorted(c.copy_id for c in chosen)), length, cost, value)
 
 
-def lambda_search(mg: MultiGraph, budget: int) -> LambdaSearchResult:
+def lambda_search(mg: MultiGraph, budget: int,
+                  need: int | None = None) -> LambdaSearchResult | None:
     """Chord search for the multiplier where optimal tree cost crosses B.
 
     Precondition: the zero-cost copies alone span the graph, so a
     budget-feasible tree always exists.  Returns either an exact hit (the
     unconstrained optimum fits the budget) or a bracketing pair of trees both
-    optimal at the crossing multiplier.
+    optimal at the crossing multiplier.  With ``need`` set, returns None as
+    soon as a solved tree proves that the tree this search yields is shorter
+    than ``need`` (module docstring, step 2).
     """
-    return _search_from(mg, budget, lagrangian_tree(mg, Fraction(0), budget))
-
-
-def _search_from(mg: MultiGraph, budget: int, p_lo: LagrangianPoint,
-                 need: int | None = None) -> LambdaSearchResult | None:
-    """lambda_search after its first solve, p_lo = the tree at multiplier 0.
-
-    With ``need`` set, returns None as soon as a solved tree proves that the
-    tree this search yields is shorter than ``need`` (module docstring, step 2).
-    """
+    p_lo = lagrangian_tree(mg, Fraction(0), budget)
     # the tree at multiplier 0 is the longest tree, so it bounds every tree
     # this search can yield, over-budget ones included
     if need is not None and p_lo.length < need:
@@ -266,8 +260,7 @@ def _solve_with_heavy_subset(light: list[EdgeCopy], subset: tuple[EdgeCopy, ...]
     res = MultiGraph(k, res_copies)
     need = None if incumbent is None else incumbent - sum(c.length for c in subset)
     try:
-        found = _search_from(res, residual_budget,
-                             lagrangian_tree(res, Fraction(0), residual_budget), need)
+        found = lambda_search(res, residual_budget, need)
     except DisconnectedGraphError:
         return None
     if found is None:

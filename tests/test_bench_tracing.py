@@ -31,6 +31,9 @@ def test_tracer_counts_every_layer_through_the_cli(tmp_path, monkeypatch, capsys
                              "--seed", "5", "--no-timing"]) == 0
             assert [tracer.calls[layer] for layer in layers] == [
                 count + 1 for count in before], algo
+            if algo == "twocost":
+                # the solver enters each multiplier search through lambda_search
+                assert tracer.calls["two_cost.lambda_search"] >= 1
     finally:
         tracer.uninstall()
     capsys.readouterr()

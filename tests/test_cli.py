@@ -299,3 +299,35 @@ def test_non_integer_seed_env_exits_2_with_one_line(value, tmp_path, capsys, mon
     code, out, err = run(capsys, "solve", "--algo", "uimst", "--k", "1", "--in", str(path))
     assert code == 2 and out == ""
     assert err == f"error: NETUPGRADE_SEED must be an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("algo,flag,message", [
+    ("twocost", "--epsilon", "eps must be positive"),
+    ("imst", "--epsilon", "epsilon must be in (0, 1)"),
+    ("imst", "--delta", "delta must be in (0, 1)"),
+    ("wildag-fptas", "--epsilon", "eps must be in (0, 1)"),
+    ("wisdag-fptas", "--epsilon", "eps must be positive"),
+])
+def test_solve_passes_a_zero_epsilon_or_delta_to_the_solver(algo, flag, message,
+                                                            tmp_path, capsys):
+    # 0 is a given value, not a missing one: the solver's own check rejects it
+    if algo in ("twocost", "imst"):
+        path = gen_file(tmp_path, capsys)
+    else:
+        path = tmp_path / "d.json"
+        assert run(capsys, "gen", "--kind", "wildag", "--n", "7", "--m", "12", "--seed",
+                   "11", "--budget", "7", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "solve", "--algo", algo, "--in", str(path),
+                         flag, "0", "--no-timing")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("algo,flag,message", [
+    ("twocost", "--epsilon", "eps must be positive"),
+    ("imst", "--delta", "delta must be in (0, 1)"),
+    ("wildag-fptas", "--epsilon", "eps must be in (0, 1)"),
+])
+def test_verify_passes_a_zero_epsilon_or_delta_to_the_solver(algo, flag, message, capsys):
+    code, _out, err = run(capsys, "verify", "--algo", algo, "--count", "1",
+                          "--size", "5", "--trials", "2", flag, "0")
+    assert (code, err) == (2, f"error: {message}\n")

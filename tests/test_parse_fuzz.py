@@ -8,7 +8,7 @@ problems whose canonical bytes match and round-trip byte-stably.
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netupgrade import generate
@@ -244,7 +244,29 @@ def _outcome(parser, data: bytes):
         return "error", str(exc)
 
 
+def _ladder_mutant(*, source=None, short_last=False, extra_key=False) -> bytes:
+    """A "wildag" document with a ladder-shape error that a later field
+    error must outrank, or that must lose to an earlier shape error."""
+    dag = generate.gen_random_dag(6, 10, seed=6)
+    doc = json.loads(serialize(Problem("wildag", 3, dag=dag)))
+    edges = doc["edges"]
+    if extra_key:
+        edges[0]["note"] = 1
+        edges[1]["ladder"][0][1] = 1
+        del edges[3]["ladder"][1:]
+    else:
+        edges[0]["ladder"].append([10**6, 10**6])
+    if source is not None:
+        doc["source"] = source
+    if short_last:
+        edges[-1]["ladder"][1] = [1]
+    return json.dumps(doc).encode()
+
+
 @given(documents())
+@example(_ladder_mutant(source=True))
+@example(_ladder_mutant(short_last=True))
+@example(_ladder_mutant(extra_key=True))
 @settings(max_examples=400, deadline=None)
 def test_parse_matches_the_reference(data):
     got, expected = _outcome(parse, data), _outcome(reference_parse, data)

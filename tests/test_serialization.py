@@ -222,20 +222,27 @@ def _dag_document(n: int, m: int) -> bytes:
     return serialize(Problem("wildag", 3, dag=generate.gen_random_dag(n, m, seed=n)))
 
 
+def _imst_document(n: int, m: int) -> bytes:
+    graph = generate.gen_random_graph(n, m, levels=3, seed=n)
+    return serialize(Problem("imst", 3, graph=graph))
+
+
 def test_canonical_dag_parse_checks_fields_once_per_document(monkeypatch):
-    # the checked pass reads every edge without a per-field _want call
+    # the checked pass reads every edge, of either kind, without a per-field
+    # _want call
     from netupgrade import serialization
 
-    counts = []
-    for n, m in ((6, 10), (60, 1000)):
-        calls = []
-        real = serialization._want
-        monkeypatch.setattr(serialization, "_want",
-                            lambda *a: calls.append(a[1]) or real(*a))
-        assert parse(_dag_document(n, m)).dag.m == m
-        monkeypatch.undo()
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+    for document in (_dag_document, _imst_document):
+        counts = []
+        for n, m in ((6, 10), (60, 1000)):
+            calls = []
+            real = serialization._want
+            monkeypatch.setattr(serialization, "_want",
+                                lambda *a: calls.append(a[1]) or real(*a))
+            assert parse(document(n, m)).instance.m == m
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts[0] == counts[1], document.__name__
 
 
 def test_extra_edge_keys_fall_back_to_the_per_field_path():
