@@ -222,8 +222,6 @@ def cmd_verify(args) -> int:
         raise UsageError("--trials must be positive")
     eps = _given(args.epsilon, Fraction(3, 10))
     delta = _given(args.delta, Fraction(1, 5))
-    writer = csv.DictWriter(sys.stdout, fieldnames=VERIFY_FIELDS, lineterminator="\n")
-    writer.writeheader()
     rows = []
     for i in range(args.count):
         seed = args.seed + i
@@ -233,6 +231,9 @@ def cmd_verify(args) -> int:
                      "budget": problem.budget, "epsilon": str(eps),
                      "delta": str(delta), "trials": args.trials,
                      **_verify_one(args.algo, problem, seed, args.trials, eps, delta)})
+    # the header follows the solves, so an argument a solver rejects prints nothing
+    writer = csv.DictWriter(sys.stdout, fieldnames=VERIFY_FIELDS, lineterminator="\n")
+    writer.writeheader()
     writer.writerows(rows)
     return 0
 

@@ -31,10 +31,8 @@ def _by_weight(edges: Sequence[WeightedEdge]) -> list[WeightedEdge]:
     return sorted(edges, key=lambda e: (-e[3], e[0]))
 
 
-def _greedy(n: int, ordered: Sequence[WeightedEdge], cap: int | None,
-            seed_uf: UnionFind | None = None) -> list[int]:
-    """Kruskal over edges already in ``_by_weight`` order."""
-    uf = seed_uf if seed_uf is not None else UnionFind(n)
+def _greedy(ordered: Sequence[WeightedEdge], cap: int | None, uf: UnionFind) -> list[int]:
+    """Kruskal over edges already in ``_by_weight`` order, growing ``uf``."""
     chosen = []
     for eid, u, v, _w in ordered:
         if cap is not None and len(chosen) >= cap:
@@ -46,39 +44,10 @@ def _greedy(n: int, ordered: Sequence[WeightedEdge], cap: int | None,
 
 def max_spanning_tree(n: int, edges: Sequence[WeightedEdge]) -> list[int]:
     """Maximum-weight spanning tree; raises on a disconnected graph."""
-    chosen = _greedy(n, _by_weight(edges), None)
+    chosen = _greedy(_by_weight(edges), None, UnionFind(n))
     if len(chosen) != n - 1:
         raise DisconnectedGraphError("graph is not connected")
     return chosen
-
-
-def max_forest_capped(n: int, edges: Sequence[WeightedEdge], k: int) -> tuple[int, ...]:
-    """Edge ids of the greedy maximum forest with at most k edges."""
-    if k < 0:
-        raise ValueError("cap must be nonnegative")
-    return tuple(_greedy(n, _by_weight(edges), k))
-
-
-def extend_forest_to_tree(n: int, forest_ids, all_edges: Sequence[WeightedEdge],
-                          fill_edges: Sequence[WeightedEdge]) -> list[int]:
-    """Grow a forest to a spanning tree with greedy fill edges.
-
-    Forest edges are never removed; fill edges are added by descending weight
-    without creating cycles.  ``all_edges`` supplies endpoints for the forest
-    ids.
-    """
-    by_id = {e[0]: e for e in all_edges}
-    uf = UnionFind(n)
-    for eid in forest_ids:
-        _, u, v, _w = by_id[eid]
-        if not uf.union(u, v):
-            raise ValueError("forest contains a cycle")
-    forest = set(forest_ids)
-    fill = [e for e in fill_edges if e[0] not in forest]
-    tree = list(forest_ids) + _greedy(n, _by_weight(fill), None, seed_uf=uf)
-    if len(tree) != n - 1:
-        raise DisconnectedGraphError("graph is not connected")
-    return tree
 
 
 def _level_order(graph: UpgradableGraph, level: int) -> list[WeightedEdge]:
@@ -116,8 +85,8 @@ def uimst_half_approx(graph: UpgradableGraph, k: int) -> TreeSolution:
 
     # the fill skips each forest edge's base copy, whose endpoints the forest joins
     uf = UnionFind(graph.n)
-    forest = _greedy(graph.n, _level_order(graph, 1), k, seed_uf=uf)
-    tree2 = forest + _greedy(graph.n, _level_order(graph, 0), None, seed_uf=uf)
+    forest = _greedy(_level_order(graph, 1), k, uf)
+    tree2 = forest + _greedy(_level_order(graph, 0), None, uf)
     upgraded = set(forest)
     choices2 = {eid: int(eid in upgraded) for eid in tree2}
     sol2 = solution_from_choices(graph, choices2)

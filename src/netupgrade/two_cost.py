@@ -1,22 +1,33 @@
 """(1, 1+eps) approximation for the two-cost spanning tree problem.
 
 Maximize tree length subject to tree cost <= B, returning a tree with
-length >= OPT(B) and cost <= (1+eps)*B.  The scheme:
+length >= OPT(B) and cost <= (1+eps)*B.  Lengths and costs are
+nonnegative.  The scheme:
 
 1. Enumerate every forest S of "heavy" copies (individual cost > eps*B)
-   with c(S) <= B; contract S and delete the remaining heavy copies.
-2. On the residual instance (all copies cheap), find the Lagrangian
-   multiplier of the budget constraint by a chord (Newton) search on the
-   piecewise-linear dual over exact rationals.  Either the unconstrained
-   optimum is feasible, or two optimal trees bracket the budget at the same
-   multiplier.  The tree a forest S yields costs at most B_S + c_max, where
-   B_S = B - c(S) and c_max is the largest residual cost: it is the exact hit
-   or the first tree of step 3 past B_S.  Every residual tree T' that cheap
-   satisfies l(T') <= l(T_lam) - lam*(c(T_lam) - B_S - c_max) at each
-   multiplier lam >= 0, since T_lam maximizes l - lam*c.  The search for S
-   ends as soon as l(S) plus this bound at a chord iterate (at lam = 0: the
-   longest residual tree) is strictly below the longest tree found so far;
-   a forest that could tie still reaches the copy-id tie-break.
+   with c(S) <= B; contract S and delete the remaining heavy copies.  Greedy
+   on a contraction M/S picks a subset of greedy's picks on M under the same
+   strict order (Edmonds 1971; Oxley, *Matroid Theory*): a copy spanned by
+   earlier copies stays spanned once S is contracted.  So two greedy forests
+   of the light copies, built once per solve, hold every residual's tree at
+   both ends of step 2's search once relabelled through S's components: F_0
+   by (-length, cost, id), the order at multiplier 0, and F_inf by (cost,
+   -length, id), the order of every multiplier above a residual's total
+   length.  The pass over F_0 decides a disconnected residual, the early
+   abort and an exact hit; only a forest whose tree there is over budget
+   builds its residual.
+2. On that residual, find the Lagrangian multiplier of the budget
+   constraint by a chord (Newton) search on the piecewise-linear dual over
+   exact rationals.  Either the unconstrained optimum is feasible, or two
+   optimal trees bracket the budget at the same multiplier.  The tree a
+   forest S yields costs at most B_S + c_max, where B_S = B - c(S) and c_max
+   is the largest residual cost: it is the exact hit or the first tree of
+   step 3 past B_S.  Every residual tree T' that cheap satisfies
+   l(T') <= l(T_lam) - lam*(c(T_lam) - B_S - c_max) at each multiplier
+   lam >= 0, since T_lam maximizes l - lam*c.  The search for S ends as soon
+   as l(S) plus this bound at a chord iterate (at lam = 0: the longest
+   residual tree) is strictly below the longest tree found so far; a forest
+   that could tie still reaches the copy-id tie-break.
 3. Walk a chain of single edge exchanges between the bracketing trees; every
    intermediate tree is Lagrangian-optimal, so the first tree whose cost
    exceeds the residual budget has length >= OPT while overshooting the
@@ -29,9 +40,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from ._util import UnionFind
 from .instances import DisconnectedGraphError, EdgeCopy, MultiGraph
+
+
+# an edge copy as a plain tuple: (copy_id, u, v, length, cost)
+Copy = tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -60,8 +76,21 @@ class TwoCostResult:
     cost: int
 
 
-def lagrangian_tree(mg: MultiGraph, lam: Fraction, budget: int) -> LagrangianPoint:
-    """Maximum spanning tree under the combined weight l - lambda*c.
+def _greedy(k: int, ordered) -> list[Copy]:
+    """Kruskal's forest on k vertices over copies taken in the given order."""
+    uf = UnionFind(k)
+    chosen = []
+    for c in ordered:
+        if uf.union(c[1], c[2]):
+            chosen.append(c)
+            if len(chosen) == k - 1:
+                break
+    return chosen
+
+
+def lagrangian_tree(k: int, copies: Sequence[Copy], lam: Fraction,
+                    budget: int) -> LagrangianPoint:
+    """Maximum spanning tree on k vertices under the combined weight l - lambda*c.
 
     Ties break toward lower cost, then lower copy id, so equal-weight
     exact hits prefer cheaper copies.
@@ -71,24 +100,18 @@ def lagrangian_tree(mg: MultiGraph, lam: Fraction, budget: int) -> LagrangianPoi
     lam = Fraction(lam)
     # p*c - q*l orders copies as lambda*c - l does, in exact integers
     p, q = lam.numerator, lam.denominator
-    order = sorted(mg.copies, key=lambda c: (p * c.cost - q * c.length, c.cost, c.copy_id))
-    uf = UnionFind(mg.n)
-    chosen = []
-    for c in order:
-        if uf.union(c.u, c.v):
-            chosen.append(c)
-            if len(chosen) == mg.n - 1:
-                break
-    if len(chosen) != mg.n - 1:
+    chosen = _greedy(k, sorted(copies, key=lambda c: (p * c[4] - q * c[3], c[4], c[0])))
+    if len(chosen) != k - 1:
         raise DisconnectedGraphError("multigraph is not connected")
-    length = sum(c.length for c in chosen)
-    cost = sum(c.cost for c in chosen)
+    length = sum(c[3] for c in chosen)
+    cost = sum(c[4] for c in chosen)
     value = Fraction(length) - lam * (cost - budget)
-    return LagrangianPoint(lam, tuple(sorted(c.copy_id for c in chosen)), length, cost, value)
+    return LagrangianPoint(lam, tuple(sorted(c[0] for c in chosen)), length, cost, value)
 
 
-def lambda_search(mg: MultiGraph, budget: int,
-                  need: int | None = None) -> LambdaSearchResult | None:
+def lambda_search(k: int, copies: Sequence[Copy], budget: int, need: int | None = None, *,
+                  at_zero: LagrangianPoint | None = None,
+                  cheap: Sequence[Copy] | None = None) -> LambdaSearchResult | None:
     """Chord search for the multiplier where optimal tree cost crosses B.
 
     Precondition: the zero-cost copies alone span the graph, so a
@@ -96,26 +119,29 @@ def lambda_search(mg: MultiGraph, budget: int,
     unconstrained optimum fits the budget) or a bracketing pair of trees both
     optimal at the crossing multiplier.  With ``need`` set, returns None as
     soon as a solved tree proves that the tree this search yields is shorter
-    than ``need`` (module docstring, step 2).
+    than ``need`` (module docstring, step 2).  ``at_zero`` is the tree at
+    multiplier 0 and ``cheap`` holds F_inf, if the caller has them.
     """
-    p_lo = lagrangian_tree(mg, Fraction(0), budget)
+    p_lo = lagrangian_tree(k, copies, Fraction(0), budget) if at_zero is None else at_zero
     # the tree at multiplier 0 is the longest tree, so it bounds every tree
     # this search can yield, over-budget ones included
     if need is not None and p_lo.length < need:
         return None
     if p_lo.cost <= budget:
         return LambdaSearchResult(exact=p_lo)
-    total_cost = sum(c.cost for c in mg.copies)
+    total_cost = sum(c[4] for c in copies)
     # the yielded tree costs at most one copy more than the budget
-    reach = budget + max((c.cost for c in mg.copies), default=0)
-    p_hi = lagrangian_tree(mg, Fraction(sum(c.length for c in mg.copies) + 1), budget)
+    reach = budget + max((c[4] for c in copies), default=0)
+    # above the total length, the multiplier orders copies by (cost, -length, id)
+    p_hi = lagrangian_tree(k, copies if cheap is None else cheap,
+                           Fraction(sum(c[3] for c in copies) + 1), budget)
     if p_hi.cost > budget:
         raise DisconnectedGraphError("no budget-feasible spanning tree")
     # chord (Newton) step on the piecewise-linear dual: where the lines of an over-
     # and an under-budget optimum meet, both are optimal or a better tree is found
     while True:
         lam = Fraction(p_lo.length - p_hi.length, p_lo.cost - p_hi.cost)
-        under = lagrangian_tree(mg, lam, budget)
+        under = lagrangian_tree(k, copies, lam, budget)
         if need is not None and under.length - lam * (under.cost - reach) < need:
             return None
         line = p_hi.length - lam * (p_hi.cost - budget)
@@ -129,7 +155,7 @@ def lambda_search(mg: MultiGraph, budget: int,
     # breakpoints are ratios of integer differences with denominators
     # <= total_cost, so they are separated by > 1/total_cost^2; just below
     # lam the optimum is the over-budget tree left of the crossing
-    below = lagrangian_tree(mg, lam - Fraction(1, 2 * (total_cost + 1) ** 2), budget)
+    below = lagrangian_tree(k, copies, lam - Fraction(1, 2 * (total_cost + 1) ** 2), budget)
     over_val = below.length - lam * (below.cost - budget)
     assert below.cost > budget and over_val == under.lagrangian_value, \
         "bracketing trees are not both optimal at the crossing multiplier"
@@ -141,9 +167,9 @@ def _tree_path(copies_by_id, tree_ids, a: int, b: int) -> list[int]:
     """Copy ids on the unique a-b path inside the tree."""
     adjacency: dict[int, list[tuple[int, int]]] = {}
     for cid in tree_ids:
-        c = copies_by_id[cid]
-        adjacency.setdefault(c.u, []).append((c.v, cid))
-        adjacency.setdefault(c.v, []).append((c.u, cid))
+        _, u, v, _l, _c = copies_by_id[cid]
+        adjacency.setdefault(u, []).append((v, cid))
+        adjacency.setdefault(v, []).append((u, cid))
     stack = [(a, -1, [])]
     while stack:
         v, via, path = stack.pop()
@@ -155,42 +181,34 @@ def _tree_path(copies_by_id, tree_ids, a: int, b: int) -> list[int]:
     raise ValueError("endpoints not connected inside the tree")
 
 
-def swap_chain(mg: MultiGraph, under: LagrangianPoint, over: LagrangianPoint,
+def swap_chain(copies: Sequence[Copy], under: LagrangianPoint, over: LagrangianPoint,
                lam_star: Fraction) -> list[tuple[int, ...]]:
-    """Single-exchange walk between two Lagrangian-optimal trees.
+    """Single-exchange walk between two Lagrangian-optimal trees over ``copies``.
 
     Each step inserts one copy of `over`, removes an equal-weight copy on the
     created cycle, and stays Lagrangian-optimal; such a swap always exists
     between two optima of the same matroid weighting.
     """
-    copies_by_id = {c.copy_id: c for c in mg.copies}
+    copies_by_id = {c[0]: c for c in copies}
     p, q = lam_star.numerator, lam_star.denominator
-    weight = {c.copy_id: q * c.length - p * c.cost for c in mg.copies}
+    weight = {c[0]: q * c[3] - p * c[4] for c in copies}
     current = set(under.copy_ids)
     target = set(over.copy_ids)
     chain = [tuple(sorted(current))]
     while current != target:
-        done = False
         for f in sorted(target - current):
-            cf = copies_by_id[f]
-            cycle = _tree_path(copies_by_id, current, cf.u, cf.v)
+            _, u, v, _l, _c = copies_by_id[f]
+            cycle = _tree_path(copies_by_id, current, u, v)
             swappable = [g for g in cycle if g not in target and weight[g] == weight[f]]
             if swappable:
-                g = min(swappable)
-                current.remove(g)
+                current.remove(min(swappable))
                 current.add(f)
                 chain.append(tuple(sorted(current)))
-                done = True
                 break
-        if not done:
+        else:
             raise AssertionError("no weight-preserving exchange found; "
                                  "inputs are not optimal at the same multiplier")
     return chain
-
-
-def _totals(copies_by_id, ids) -> tuple[int, int]:
-    return (sum(copies_by_id[i].length for i in ids),
-            sum(copies_by_id[i].cost for i in ids))
 
 
 def _heavy_forests(heavy: list[EdgeCopy], n: int, budget: int):
@@ -217,6 +235,12 @@ def _heavy_forests(heavy: list[EdgeCopy], n: int, budget: int):
     return rec(0, 0, list(range(n)))
 
 
+def _relabel(copies: Sequence[Copy], labels: list[int]) -> list[Copy]:
+    """The copies with endpoints mapped to component labels, loops dropped."""
+    return [(i, labels[u], labels[v], l, c) for i, u, v, l, c in copies
+            if labels[u] != labels[v]]
+
+
 def two_cost_mst(mg: MultiGraph, budget: int, eps: Fraction) -> TwoCostResult:
     """Spanning tree with length >= OPT(budget) and cost <= (1+eps)*budget."""
     if budget < 0:
@@ -227,49 +251,53 @@ def two_cost_mst(mg: MultiGraph, budget: int, eps: Fraction) -> TwoCostResult:
     copies_by_id = {c.copy_id: c for c in mg.copies}
     threshold = eps * budget
     heavy = sorted((c for c in mg.copies if c.cost > threshold), key=lambda c: c.copy_id)
-    light = [c for c in mg.copies if c.cost <= threshold]
+    light = [(c.copy_id, c.u, c.v, c.length, c.cost) for c in mg.copies if c.cost <= threshold]
+    # the greedy forests F_0 and F_inf (module docstring, step 1)
+    zero = _greedy(mg.n, sorted(light, key=lambda c: (-c[3], c[4], c[0])))
+    inf = _greedy(mg.n, sorted(light, key=lambda c: (c[4], -c[3], c[0])))
 
     best: tuple[int, tuple[int, ...]] | None = None  # (length, sorted ids)
     for subset, labels in _heavy_forests(heavy, mg.n, budget):
-        ids = _solve_with_heavy_subset(light, subset, labels, budget,
+        ids = _solve_with_heavy_subset(light, zero, inf, subset, labels, budget,
                                        None if best is None else best[0])
         if ids is None:
             continue
-        length, _cost = _totals(copies_by_id, ids)
-        key = (length, tuple(sorted(ids)))
+        key = (sum(copies_by_id[i].length for i in ids), tuple(sorted(ids)))
         if best is None or key[0] > best[0] or (key[0] == best[0] and key[1] < best[1]):
             best = key
     if best is None:
         raise DisconnectedGraphError("no budget-feasible spanning tree")
-    length, cost = _totals(copies_by_id, best[1])
-    return TwoCostResult(best[1], length, cost)
+    return TwoCostResult(best[1], best[0], sum(copies_by_id[i].cost for i in best[1]))
 
 
-def _solve_with_heavy_subset(light: list[EdgeCopy], subset: tuple[EdgeCopy, ...],
+def _solve_with_heavy_subset(light: Sequence[Copy], zero: Sequence[Copy],
+                             inf: Sequence[Copy], subset: tuple[EdgeCopy, ...],
                              labels: list[int], budget: int,
                              incumbent: int | None) -> tuple[int, ...] | None:
-    """Contract the heavy forest, solve the cheap residual, map back (None: skip)."""
+    """Solve the cheap residual of a heavy forest through F_0 = ``zero`` and
+    F_inf = ``inf``, map back (None: skip)."""
     residual_budget = budget - sum(c.cost for c in subset)
     subset_ids = tuple(c.copy_id for c in subset)
     k = len(labels) - len(subset)
     if k == 1:
         return subset_ids
-    res_copies = tuple(
-        EdgeCopy(c.copy_id, labels[c.u], labels[c.v], c.length, c.cost, c.edge_id, c.level)
-        for c in light if labels[c.u] != labels[c.v])
-    res = MultiGraph(k, res_copies)
     need = None if incumbent is None else incumbent - sum(c.length for c in subset)
     try:
-        found = lambda_search(res, residual_budget, need)
+        at_zero = lagrangian_tree(k, _relabel(zero, labels), Fraction(0), residual_budget)
+        if need is not None and at_zero.length < need:
+            return None
+        if at_zero.cost <= residual_budget:
+            return subset_ids + at_zero.copy_ids
+        res = _relabel(light, labels)
+        found = lambda_search(k, res, residual_budget, need, at_zero=at_zero,
+                              cheap=_relabel(inf, labels))
     except DisconnectedGraphError:
         return None
     if found is None:
         return None
-    if found.exact is not None:
-        return subset_ids + found.exact.copy_ids
     chain = swap_chain(res, found.under, found.over, found.lam_star)
-    by_id = {c.copy_id: c for c in res_copies}
+    by_id = {c[0]: c for c in res}
     for ids in chain:
-        if sum(by_id[i].cost for i in ids) > residual_budget:
+        if sum(by_id[i][4] for i in ids) > residual_budget:
             return subset_ids + ids
     raise AssertionError("swap chain never crossed the residual budget")

@@ -140,6 +140,16 @@ def test_unsupported_algo_is_rejected_before_the_csv_header(argv, capsys):
     assert err == f"error: {argv[0]} does not support algorithm {argv[2]!r}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--algo", "twocost", "--epsilon", "0"), "eps must be positive"),
+    (("--algo", "imst", "--epsilon", "2"), "epsilon must be in (0, 1)"),
+])
+def test_verify_rejects_a_solver_argument_before_the_csv_header(argv, message, capsys):
+    code, out, err = run(capsys, "verify", *argv, "--count", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_bench_empty_sweep_is_header_only(capsys):
     code, out, _ = run(capsys, "bench", "--algo", "wildag-uniform",
                        "--sizes", "")

@@ -10,13 +10,44 @@ from netupgrade.instances import (
     UpgradableGraph,
     solution_from_choices,
 )
-from netupgrade.mst_uniform import (
-    extend_forest_to_tree,
-    max_forest_capped,
-    max_spanning_tree,
-    uimst_half_approx,
-)
+from netupgrade._util import UnionFind
+from netupgrade.mst_uniform import max_spanning_tree, uimst_half_approx
 from netupgrade.oracle import exact_uimst_table
+
+
+# Test-local copies of two helpers no solver calls any more: the size-capped
+# greedy forest on improved lengths and its greedy extension to a spanning
+# tree, which uimst_half_approx now runs as one Kruskal sweep.
+
+def max_forest_capped(n, edges, k):
+    """Edge ids of the greedy maximum forest with at most k edges."""
+    if k < 0:
+        raise ValueError("cap must be nonnegative")
+    uf, chosen = UnionFind(n), []
+    for eid, u, v, _w in sorted(edges, key=lambda e: (-e[3], e[0])):
+        if len(chosen) >= k:
+            break
+        if uf.union(u, v):
+            chosen.append(eid)
+    return tuple(chosen)
+
+
+def extend_forest_to_tree(n, forest_ids, all_edges, fill_edges):
+    """Grow a forest to a spanning tree with fill edges by descending weight;
+    ``all_edges`` supplies endpoints for the forest ids."""
+    by_id = {e[0]: e for e in all_edges}
+    uf = UnionFind(n)
+    for eid in forest_ids:
+        _, u, v, _w = by_id[eid]
+        if not uf.union(u, v):
+            raise ValueError("forest contains a cycle")
+    tree = list(forest_ids)
+    for eid, u, v, _w in sorted(fill_edges, key=lambda e: (-e[3], e[0])):
+        if eid not in forest_ids and uf.union(u, v):
+            tree.append(eid)
+    if len(tree) != n - 1:
+        raise DisconnectedGraphError("graph is not connected")
+    return tree
 
 
 def test_max_spanning_tree_square():

@@ -34,9 +34,14 @@ def small_mg(seed, n=5, budget_hint=8):
     return expand_to_multigraph(g)
 
 
+def _split(mg):
+    """(k, copies): a multigraph as the solver's (copy_id, u, v, length, cost) tuples."""
+    return mg.n, [(c.copy_id, c.u, c.v, c.length, c.cost) for c in mg.copies]
+
+
 def test_lagrangian_tree_at_zero_is_max_length():
     mg = small_mg(1)
-    p = lagrangian_tree(mg, Fraction(0), 5)
+    p = lagrangian_tree(*_split(mg), Fraction(0), 5)
     brute = max(
         length for length, _c, _ids in [exact_two_cost(mg, 10 ** 9)])
     assert p.length == brute
@@ -44,20 +49,20 @@ def test_lagrangian_tree_at_zero_is_max_length():
 
 def test_lagrangian_tree_rejects_negative_multiplier():
     with pytest.raises(ValueError):
-        lagrangian_tree(small_mg(1), Fraction(-1), 5)
+        lagrangian_tree(*_split(small_mg(1)), Fraction(-1), 5)
 
 
 def test_lambda_search_exact_when_budget_loose():
     mg = small_mg(2)
     total_cost = sum(c.cost for c in mg.copies)
-    found = lambda_search(mg, total_cost)
+    found = lambda_search(*_split(mg), total_cost)
     assert found.exact is not None
     assert found.exact.cost <= total_cost
 
 
 def test_lambda_search_brackets_budget():
     mg = small_mg(3)
-    found = lambda_search(mg, 2)
+    found = lambda_search(*_split(mg), 2)
     if found.exact is None:
         assert found.under.cost <= 2 < found.over.cost
         assert found.under.lagrangian_value == found.over.lagrangian_value
@@ -65,9 +70,9 @@ def test_lambda_search_brackets_budget():
 
 def test_swap_chain_connects_brackets():
     mg = small_mg(0)
-    found = lambda_search(mg, 1)
+    found = lambda_search(*_split(mg), 1)
     assert found.exact is None, "seed chosen so the budget binds"
-    chain = swap_chain(mg, found.under, found.over, found.lam_star)
+    chain = swap_chain(_split(mg)[1], found.under, found.over, found.lam_star)
     assert chain[0] == found.under.copy_ids
     assert chain[-1] == found.over.copy_ids
     for a, b in zip(chain, chain[1:]):
@@ -274,10 +279,10 @@ def test_lambda_search_matches_bisection_reference():
     binding = 0
     for _ in range(300):
         mg = _random_mg(rng, rng.randint(4, 20))
-        zero_cost = lagrangian_tree(mg, Fraction(0), 0).cost
+        zero_cost = lagrangian_tree(*_split(mg), Fraction(0), 0).cost
         budgets = [zero_cost, rng.randrange(zero_cost)] if zero_cost else [0]
         for budget in budgets:
-            found = lambda_search(mg, budget)
+            found = lambda_search(*_split(mg), budget)
             assert found == _ref_lambda_search(mg, budget), (mg, budget)
             binding += found.exact is None
     assert binding >= 250
@@ -372,8 +377,8 @@ def test_dual_bound_holds_for_the_tree_a_residual_search_yields(monkeypatch):
     points = []
     solve = two_cost.lagrangian_tree
 
-    def recorded(mg, lam, budget):
-        points.append(solve(mg, lam, budget))
+    def recorded(k, copies, lam, budget):
+        points.append(solve(k, copies, lam, budget))
         return points[-1]
 
     monkeypatch.setattr(two_cost, "lagrangian_tree", recorded)
@@ -383,12 +388,14 @@ def test_dual_bound_holds_for_the_tree_a_residual_search_yields(monkeypatch):
         mg = _random_mg(rng, rng.randint(3, 10))
         by_id = {c.copy_id: c for c in mg.copies}
         c_max = max(c.cost for c in mg.copies)
-        cheapest = solve(mg, Fraction(sum(c.length for c in mg.copies) + 1), 0).cost
-        longest = solve(mg, Fraction(0), 0).cost
+        cheapest = solve(*_split(mg), Fraction(sum(c.length for c in mg.copies) + 1), 0).cost
+        longest = solve(*_split(mg), Fraction(0), 0).cost
         graphs += cheapest < longest
         for budget in range(cheapest, longest):
             points.clear()
-            ids = _solve_with_heavy_subset(list(mg.copies), (), list(range(mg.n)), budget, None)
+            copies = _split(mg)[1]
+            ids = _solve_with_heavy_subset(copies, copies, copies, (), list(range(mg.n)),
+                                           budget, None)
             length = sum(by_id[i].length for i in ids)
             assert sum(by_id[i].cost for i in ids) <= budget + c_max
             for p in points:
@@ -405,7 +412,7 @@ def test_two_cost_mst_matches_eager_reference_where_forests_tie():
     for _ in range(150):
         mg = _random_mg(rng, rng.randint(4, 9), max_cost=rng.choice([3, 6, 12]))
         eps = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
-        budget = rng.randint(0, max(lagrangian_tree(mg, Fraction(0), 0).cost, 1))
+        budget = rng.randint(0, max(lagrangian_tree(*_split(mg), Fraction(0), 0).cost, 1))
         try:
             expected = _ref_two_cost_mst(mg, budget, eps)
         except DisconnectedGraphError:
@@ -413,3 +420,99 @@ def test_two_cost_mst_matches_eager_reference_where_forests_tie():
                 two_cost_mst(mg, budget, eps)
             continue
         assert two_cost_mst(mg, budget, eps) == expected, (mg, budget, eps)
+
+
+def test_residual_trees_lie_in_the_greedy_forests_of_the_light_copies():
+    # the matroid fact the solver rests on (module docstring, step 1): under one
+    # strict order, greedy on the contraction by a heavy forest picks a subset of
+    # greedy's picks on the light copies, so greedy over those picks, relabelled
+    # through the forest's components, finds the residual's tree
+    rng = random.Random(5150)
+    checked = binding = 0
+    for _ in range(80):
+        mg = _random_mg(rng, rng.randint(3, 12), max_cost=30)
+        threshold = rng.choice([6, 12, 20])
+        heavy = [c for c in mg.copies if c.cost > threshold]
+        light = [c for c in mg.copies if c.cost <= threshold]
+        forests = list(_heavy_forests(heavy, mg.n, rng.randint(0, 90)))
+        for subset, labels in rng.sample(forests, min(4, len(forests))):
+            k = mg.n - len(subset)
+            residual = MultiGraph(k, tuple(
+                EdgeCopy(c.copy_id, labels[c.u], labels[c.v], c.length, c.cost, c.edge_id, c.level)
+                for c in light if labels[c.u] != labels[c.v]))
+            budget = rng.randint(0, 3 * k)
+            total = sum(c.length for c in residual.copies)
+            orders = [(lam, lambda c, lam=lam: (lam.numerator * c.cost
+                                                - lam.denominator * c.length, c.cost, c.copy_id))
+                      for lam in [Fraction(0)] + [Fraction(rng.randint(1, 60), rng.randint(1, 9))
+                                                  for _ in range(3)]]
+            # above the residual's total length the multiplier orders by (cost, -length, id)
+            orders.append((Fraction(total + 1), lambda c: (c.cost, -c.length, c.copy_id)))
+            for lam, key in orders:
+                uf, forest = UnionFind(mg.n), []
+                for c in sorted(light, key=key):
+                    if uf.union(c.u, c.v):
+                        forest.append(c)
+                relabelled = [(c.copy_id, labels[c.u], labels[c.v], c.length, c.cost)
+                              for c in forest]
+                try:
+                    tree = _ref_tree(residual, lam, budget)
+                except DisconnectedGraphError:
+                    with pytest.raises(DisconnectedGraphError):
+                        lagrangian_tree(k, relabelled, lam, budget)
+                    continue
+                assert set(tree.copy_ids) <= {c.copy_id for c in forest}
+                assert lagrangian_tree(k, relabelled, lam, budget) == tree
+                checked += 1
+                binding += tree.cost > budget
+    assert checked >= 800 and binding >= 200
+
+
+def test_two_cost_mst_matches_eager_reference_on_a_random_corpus():
+    rng = random.Random(6060)
+    binding = heavy = 0
+    for case in range(400):
+        mg = _random_mg(rng, rng.randint(3, 14), max_cost=rng.choice([6, 12]))
+        eps = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
+        longest = _ref_tree(mg, Fraction(0), 0).cost
+        # binding budgets fall below the longest tree's cost, loose ones reach it
+        budget = (rng.randint(0, max(longest - 1, 0)) if case % 2
+                  else rng.randint(longest, longest + 6))
+        binding += budget < longest
+        heavy += any(c.cost > eps * budget for c in mg.copies)
+        try:
+            expected = _ref_two_cost_mst(mg, budget, eps)
+        except DisconnectedGraphError:
+            with pytest.raises(DisconnectedGraphError):
+                two_cost_mst(mg, budget, eps)
+            continue
+        assert two_cost_mst(mg, budget, eps) == expected, (mg, budget, eps)
+    assert binding >= 150 and heavy >= 150
+
+
+def test_searches_started_from_the_light_forests_solve_the_plain_searchs_trees(monkeypatch):
+    # F_0 and F_inf stand in for the residual only at the two ends of a search,
+    # so every tree and multiplier the solver computes is the plain search's
+    search, solve = two_cost.lambda_search, two_cost.lagrangian_tree
+    log = []
+
+    def recorded(*args):
+        log.append(solve(*args))
+        return log[-1]
+
+    def compared(k, copies, budget, need=None, *, at_zero, cheap):
+        log.clear()
+        found = search(k, copies, budget, need, at_zero=at_zero, cheap=cheap)
+        started = [at_zero] + log
+        log.clear()
+        assert search(k, copies, budget, need) == found
+        assert log == started
+        compared.calls += 1
+        return found
+
+    compared.calls = 0
+    monkeypatch.setattr(two_cost, "lagrangian_tree", recorded)
+    monkeypatch.setattr(two_cost, "lambda_search", compared)
+    for mg, budget, eps in _heavy_cases(random.Random(4321), [2, 4, 6, 8] * 4, 8, 16):
+        two_cost_mst(mg, budget, eps)
+    assert compared.calls >= 100, compared.calls
