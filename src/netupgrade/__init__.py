@@ -6,7 +6,6 @@ with brute-force oracles and generators for testing.
 """
 
 from .dag_dp import (
-    NoPathError,
     wildag_budget_exact,
     wildag_fptas,
     wildag_uniform,
@@ -54,7 +53,6 @@ __all__ = [
     "ImstResult",
     "InvalidInstanceError",
     "MultiGraph",
-    "NoPathError",
     "OracleBudget",
     "OracleSizeError",
     "PathSolution",

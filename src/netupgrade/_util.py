@@ -1,4 +1,4 @@
-"""Small shared helpers: union-find, seed mixing, instance hashing."""
+"""Small shared helpers: union-find, Kruskal, seed mixing, instance hashing."""
 
 from __future__ import annotations
 
@@ -51,3 +51,18 @@ class UnionFind:
 
     def components(self) -> int:
         return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
+
+
+def kruskal(ordered, uf: UnionFind, limit: int) -> list:
+    """The records of ``ordered``, endpoints at positions 1 and 2, that join
+    two of ``uf``'s components, taken greedily in order and merged into
+    ``uf``; stops once ``limit`` are chosen."""
+    chosen: list = []
+    if limit <= 0:
+        return chosen
+    for rec in ordered:
+        if uf.union(rec[1], rec[2]):
+            chosen.append(rec)
+            if len(chosen) == limit:
+                break
+    return chosen

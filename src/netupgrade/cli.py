@@ -2,7 +2,8 @@
 
 All machine-readable data goes to stdout (JSON for single results, CSV for
 batches); diagnostics go to stderr.  Exit codes: 0 success, 2 usage, invalid
-or oversized input, 3 infeasible / no path, 4 oracle size exceeded.
+or oversized input, 3 infeasible (no budget-feasible spanning tree exists, one
+line on stderr and nothing on stdout), 4 oracle size exceeded.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from fractions import Fraction
 from . import dag_dp, generate, imst_random, mst_uniform, oracle, two_cost
 from .instances import (
     DisconnectedGraphError,
-    InvalidInstanceError,
     choices_from_copies,
     expand_to_multigraph,
     solution_from_choices,
 )
-from .serialization import FormatError, Problem, instance_hash, parse, serialize
+from .serialization import Problem, instance_hash, parse, serialize
 
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
@@ -62,30 +62,25 @@ def _emit(doc: dict) -> None:
 
 
 def cmd_gen(args) -> int:
+    budget = _given(args.budget, 0)
     if args.knapsack:
-        profits = _int_list(args.knapsack[0])
-        costs = _int_list(args.knapsack[1])
-        budget = args.budget if args.budget is not None else 0
         instance, known = generate.gen_knapsack_reduction(
-            profits, costs, budget, args.kind)
-        if args.kind == "imst":
-            problem = Problem("imst", budget, graph=instance)
-        else:
-            problem = Problem("wildag", budget, dag=instance)
-        meta = {"hash": instance_hash(problem), "known_optimum": known}
+            _int_list(args.knapsack[0]), _int_list(args.knapsack[1]), budget, args.kind)
+    elif args.n is None or args.m is None:
+        raise UsageError("--n and --m are required without --knapsack")
+    elif args.kind == "imst":
+        instance = generate.gen_random_graph(args.n, args.m, args.max_len,
+                                             args.max_cost, args.levels, args.seed)
     else:
-        if args.n is None or args.m is None:
-            raise UsageError("--n and --m are required without --knapsack")
-        budget = args.budget if args.budget is not None else 0
-        if args.kind == "imst":
-            graph = generate.gen_random_graph(args.n, args.m, args.max_len,
-                                              args.max_cost, args.levels, args.seed)
-            problem = Problem("imst", budget, graph=graph)
-        else:
-            dag = generate.gen_random_dag(args.n, args.m, args.max_len,
-                                          args.max_cost, args.seed)
-            problem = Problem("wildag", budget, dag=dag)
-        meta = {"hash": instance_hash(problem)}
+        instance = generate.gen_random_dag(args.n, args.m, args.max_len,
+                                           args.max_cost, args.seed)
+    if args.kind == "imst":
+        problem = Problem("imst", budget, graph=instance)
+    else:
+        problem = Problem("wildag", budget, dag=instance)
+    meta = {"hash": instance_hash(problem)}
+    if args.knapsack:
+        meta["known_optimum"] = known
     data = serialize(problem)
     if args.out:
         with open(args.out, "wb") as fh:
@@ -176,7 +171,7 @@ def _run_algo(algo: str, problem: Problem, budget: int, opts) -> tuple:
 def cmd_solve(args) -> int:
     with open(args.infile, "rb") as fh:
         problem = parse(fh.read())
-    budget = args.budget if args.budget is not None else problem.budget
+    budget = _given(args.budget, problem.budget)
     start = time.perf_counter()
     objective, spend, edges, feasible = _run_algo(args.algo, problem, budget, args)
     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -389,15 +384,16 @@ def main(argv=None) -> int:
     try:
         args = _parser_for(os.environ.get("NETUPGRADE_SEED")).parse_args(argv)
         return handlers[args.command](args)
-    except (UsageError, InvalidInstanceError, FormatError, ValueError, OSError) as exc:
+    # DisconnectedGraphError is a ValueError, so its clause comes first
+    except DisconnectedGraphError as exc:
+        sys.stderr.write(f"infeasible: {exc}\n")
+        return EXIT_INFEASIBLE
+    except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (OverflowError, MemoryError) as exc:
         sys.stderr.write(f"error: input too large ({type(exc).__name__})\n")
         return EXIT_USAGE
-    except (dag_dp.NoPathError, DisconnectedGraphError) as exc:
-        sys.stderr.write(f"infeasible: {exc}\n")
-        return EXIT_INFEASIBLE
     except oracle.OracleSizeError as exc:
         sys.stderr.write(f"oracle bound exceeded: {exc}\n")
         return EXIT_ORACLE

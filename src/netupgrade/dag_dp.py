@@ -39,12 +39,6 @@ from .instances import reachable_from, reaching_to  # noqa: F401
 INF = math.inf
 
 
-class NoPathError(RuntimeError):
-    """No source-sink path fits the budget.  Exported for callers that catch
-    it, though no solver raises it: validation rejects an unreachable sink,
-    and the unimproved path fits every nonnegative budget."""
-
-
 def _as_fraction(eps) -> Fraction:
     return Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
 

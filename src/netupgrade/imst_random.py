@@ -32,7 +32,6 @@ from fractions import Fraction
 from ._util import MASK64, splitmix64
 from .instances import (
     ImprovementLevel,
-    InvalidInstanceError,
     TreeSolution,
     UpgradableEdge,
     UpgradableGraph,
@@ -79,10 +78,6 @@ class RandomizedConfig:
         return 3 * (1 + ep) ** 2 / ep ** 4
 
     @property
-    def keep_probability(self) -> Fraction:
-        return 1 / (1 + self.epsilon_prime) ** 2
-
-    @property
     def num_trials(self) -> int:
         if self.trials is not None:
             return self.trials
@@ -106,6 +101,14 @@ class ImstResult:
     best_trial: int | None = None  # None means the fallback tree was used
 
 
+def _map_lengths(graph: UpgradableGraph, f) -> UpgradableGraph:
+    """The graph with every level length x replaced by f(x)."""
+    return UpgradableGraph(graph.n, tuple(
+        UpgradableEdge(e.id, e.u, e.v, tuple(
+            ImprovementLevel(f(lvl.length), lvl.cost) for lvl in e.ladder))
+        for e in graph.edges))
+
+
 def shift_lengths(graph: UpgradableGraph, shift: int, n_scale: int) -> UpgradableGraph:
     """Rescale every level length to length*n_scale + shift.
 
@@ -116,11 +119,7 @@ def shift_lengths(graph: UpgradableGraph, shift: int, n_scale: int) -> Upgradabl
     """
     if shift < 0 or n_scale < 1:
         raise ValueError("bad shift parameters")
-    edges = tuple(
-        UpgradableEdge(e.id, e.u, e.v, tuple(
-            ImprovementLevel(lvl.length * n_scale + shift, lvl.cost) for lvl in e.ladder))
-        for e in graph.edges)
-    return UpgradableGraph(graph.n, edges)
+    return _map_lengths(graph, lambda x: x * n_scale + shift)
 
 
 def sample_improved_forest(graph: UpgradableGraph, choices: dict[int, int],
@@ -145,24 +144,16 @@ def minimize_transform(graph: UpgradableGraph, big_m: int | None = None) -> Upgr
 
     Maps min-instances (ladders with nonincreasing lengths, level 0 the worst
     value at cost 0) to max-instances and back; applying the transform twice
-    with the same M is the identity.
+    with the same M is the identity.  Raises InvalidInstanceError on a graph
+    that fails validation, a non-monotone ladder among others.
     """
+    require_valid(graph)
     lengths_all = [lvl.length for e in graph.edges for lvl in e.ladder]
     if big_m is None:
         big_m = max(lengths_all, default=0)
     if any(x > big_m for x in lengths_all):
         raise ValueError("M is smaller than some level length")
-    for e in graph.edges:
-        ls = [lvl.length for lvl in e.ladder]
-        if not (all(a >= b for a, b in zip(ls, ls[1:]))
-                or all(a <= b for a, b in zip(ls, ls[1:]))):
-            raise InvalidInstanceError(
-                [f"edge {e.id}: level 0 is not the worst objective value"])
-    edges = tuple(
-        UpgradableEdge(e.id, e.u, e.v, tuple(
-            ImprovementLevel(big_m - lvl.length, lvl.cost) for lvl in e.ladder))
-        for e in graph.edges)
-    return UpgradableGraph(graph.n, edges)
+    return _map_lengths(graph, lambda x: big_m - x)
 
 
 def _plan(graph: UpgradableGraph, budget: int, eps_prime: Fraction,

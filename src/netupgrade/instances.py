@@ -22,6 +22,7 @@ built from tuples and never mutated.
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
@@ -66,9 +67,6 @@ class UpgradableGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def edge(self, edge_id: int) -> UpgradableEdge:
-        return self.edges[edge_id]
 
 
 @dataclass(frozen=True)
@@ -164,8 +162,6 @@ def _topological_order(n: int, edges) -> list[int] | None:
     for e in edges:
         out[e.tail].append(e.head)
         indeg[e.head] += 1
-    import heapq
-
     ready = [v for v in range(n) if indeg[v] == 0]
     heapq.heapify(ready)
     order = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._util import UnionFind
+from ._util import UnionFind, kruskal
 from .instances import (
     DisconnectedGraphError,
     TreeSolution,
@@ -31,20 +31,9 @@ def _by_weight(edges: Sequence[WeightedEdge]) -> list[WeightedEdge]:
     return sorted(edges, key=lambda e: (-e[3], e[0]))
 
 
-def _greedy(ordered: Sequence[WeightedEdge], cap: int | None, uf: UnionFind) -> list[int]:
-    """Kruskal over edges already in ``_by_weight`` order, growing ``uf``."""
-    chosen = []
-    for eid, u, v, _w in ordered:
-        if cap is not None and len(chosen) >= cap:
-            break
-        if uf.union(u, v):
-            chosen.append(eid)
-    return chosen
-
-
 def max_spanning_tree(n: int, edges: Sequence[WeightedEdge]) -> list[int]:
     """Maximum-weight spanning tree; raises on a disconnected graph."""
-    chosen = _greedy(_by_weight(edges), None, UnionFind(n))
+    chosen = [e[0] for e in kruskal(_by_weight(edges), UnionFind(n), n - 1)]
     if len(chosen) != n - 1:
         raise DisconnectedGraphError("graph is not connected")
     return chosen
@@ -85,8 +74,8 @@ def uimst_half_approx(graph: UpgradableGraph, k: int) -> TreeSolution:
 
     # the fill skips each forest edge's base copy, whose endpoints the forest joins
     uf = UnionFind(graph.n)
-    forest = _greedy(_level_order(graph, 1), k, uf)
-    tree2 = forest + _greedy(_level_order(graph, 0), None, uf)
+    forest = [e[0] for e in kruskal(_level_order(graph, 1), uf, k)]
+    tree2 = forest + [e[0] for e in kruskal(_level_order(graph, 0), uf, graph.n - 1 - len(forest))]
     upgraded = set(forest)
     choices2 = {eid: int(eid in upgraded) for eid in tree2}
     sol2 = solution_from_choices(graph, choices2)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._util import UnionFind
+from ._util import UnionFind, kruskal
 from .instances import DisconnectedGraphError, EdgeCopy, MultiGraph
 
 
@@ -76,18 +76,6 @@ class TwoCostResult:
     cost: int
 
 
-def _greedy(k: int, ordered) -> list[Copy]:
-    """Kruskal's forest on k vertices over copies taken in the given order."""
-    uf = UnionFind(k)
-    chosen = []
-    for c in ordered:
-        if uf.union(c[1], c[2]):
-            chosen.append(c)
-            if len(chosen) == k - 1:
-                break
-    return chosen
-
-
 def lagrangian_tree(k: int, copies: Sequence[Copy], lam: Fraction,
                     budget: int) -> LagrangianPoint:
     """Maximum spanning tree on k vertices under the combined weight l - lambda*c.
@@ -100,7 +88,8 @@ def lagrangian_tree(k: int, copies: Sequence[Copy], lam: Fraction,
     lam = Fraction(lam)
     # p*c - q*l orders copies as lambda*c - l does, in exact integers
     p, q = lam.numerator, lam.denominator
-    chosen = _greedy(k, sorted(copies, key=lambda c: (p * c[4] - q * c[3], c[4], c[0])))
+    chosen = kruskal(sorted(copies, key=lambda c: (p * c[4] - q * c[3], c[4], c[0])),
+                     UnionFind(k), k - 1)
     if len(chosen) != k - 1:
         raise DisconnectedGraphError("multigraph is not connected")
     length = sum(c[3] for c in chosen)
@@ -253,8 +242,8 @@ def two_cost_mst(mg: MultiGraph, budget: int, eps: Fraction) -> TwoCostResult:
     heavy = sorted((c for c in mg.copies if c.cost > threshold), key=lambda c: c.copy_id)
     light = [(c.copy_id, c.u, c.v, c.length, c.cost) for c in mg.copies if c.cost <= threshold]
     # the greedy forests F_0 and F_inf (module docstring, step 1)
-    zero = _greedy(mg.n, sorted(light, key=lambda c: (-c[3], c[4], c[0])))
-    inf = _greedy(mg.n, sorted(light, key=lambda c: (c[4], -c[3], c[0])))
+    zero = kruskal(sorted(light, key=lambda c: (-c[3], c[4], c[0])), UnionFind(mg.n), mg.n - 1)
+    inf = kruskal(sorted(light, key=lambda c: (c[4], -c[3], c[0])), UnionFind(mg.n), mg.n - 1)
 
     best: tuple[int, tuple[int, ...]] | None = None  # (length, sorted ids)
     for subset, labels in _heavy_forests(heavy, mg.n, budget):

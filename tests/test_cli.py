@@ -113,6 +113,17 @@ def test_exit_code_oracle_guard(tmp_path, capsys):
     assert "oracle" in err
 
 
+@pytest.mark.parametrize("algo, message", [
+    ("exact-twocost", "no budget-feasible spanning tree exists"),
+    ("exact-imst", "no spanning tree exists"),
+])
+def test_exit_code_infeasible(algo, message, tmp_path, capsys):
+    path = gen_file(tmp_path, capsys)
+    code, out, err = run(capsys, "solve", "--algo", algo, "--budget", "-1",
+                         "--in", str(path))
+    assert (code, out, err) == (3, "", f"infeasible: {message}\n")
+
+
 def test_verify_emits_csv(capsys):
     code, out, _ = run(capsys, "verify", "--algo", "twocost", "--count", "2",
                        "--size", "5", "--seed", "11")

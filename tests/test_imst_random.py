@@ -30,7 +30,6 @@ def test_config_derived_quantities():
     c = cfg(eps="1/2")
     ep = Fraction(1, 4)
     assert c.epsilon_prime == ep
-    assert c.keep_probability == 1 / (1 + ep) ** 2
     assert c.scale_threshold == 3 * (1 + ep) ** 2 / ep ** 4
     # failure per trial is 2/e, so t = ceil(ln(1/delta) / ln(e/2))
     want = math.ceil(math.log(5) / math.log(math.e / 2))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from netupgrade.instances import (
     UpgradableGraph,
     solution_from_choices,
 )
-from netupgrade._util import UnionFind
+from netupgrade._util import UnionFind, kruskal
 from netupgrade.mst_uniform import max_spanning_tree, uimst_half_approx
 from netupgrade.oracle import exact_uimst_table
 
@@ -76,6 +78,45 @@ def test_extend_forest_rejects_cycles():
     edges = [(0, 0, 1, 1), (1, 1, 2, 1), (2, 0, 2, 1)]
     with pytest.raises(ValueError, match="cycle"):
         extend_forest_to_tree(3, [0, 1, 2], edges, edges)
+
+
+def _random_two_weight_graph(rng):
+    """n, then (id, u, v, improved, base) records on distinct endpoints."""
+    n = rng.randint(2, 8)
+    pairs = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)],
+                       rng.randint(1, n * (n - 1) // 2))
+    return n, [(i, u, v, rng.randint(0, 6), rng.randint(0, 6))
+               for i, (u, v) in enumerate(pairs)]
+
+
+def test_kruskal_matches_the_capped_reference_forest():
+    rng = random.Random(1234)
+    for _ in range(300):
+        n, recs = _random_two_weight_graph(rng)
+        edges = [(i, u, v, w) for i, u, v, w, _b in recs]
+        ordered = sorted(edges, key=lambda e: (-e[3], e[0]))
+        for limit in (0, rng.randint(0, n - 2), n - 1, n + 2):
+            chosen = kruskal(ordered, UnionFind(n), limit)
+            assert all(c in edges for c in chosen)
+            assert tuple(c[0] for c in chosen) == max_forest_capped(n, edges, limit)
+
+
+def test_kruskal_on_a_shared_union_find_extends_a_forest_to_a_tree():
+    rng = random.Random(4321)
+    for _ in range(300):
+        n, recs = _random_two_weight_graph(rng)
+        improved = [(i, u, v, w) for i, u, v, w, _b in recs]
+        base = [(i, u, v, b) for i, u, v, _w, b in recs]
+        k = rng.randint(0, n)
+        uf = UnionFind(n)
+        forest = [e[0] for e in kruskal(sorted(improved, key=lambda e: (-e[3], e[0])), uf, k)]
+        assert tuple(forest) == max_forest_capped(n, improved, k)
+        fill = kruskal(sorted(base, key=lambda e: (-e[3], e[0])), uf, n - 1 - len(forest))
+        tree = forest + [e[0] for e in fill]
+        try:
+            assert tree == extend_forest_to_tree(n, forest, improved, base)
+        except DisconnectedGraphError:
+            assert len(tree) < n - 1 and uf.components() > 1
 
 
 def lvl(length, cost):
