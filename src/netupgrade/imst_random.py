@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from ._util import MASK64, splitmix64
 from .instances import (
+    DisconnectedGraphError,
     ImprovementLevel,
     TreeSolution,
     UpgradableEdge,
@@ -183,7 +184,7 @@ def imst_solve(graph: UpgradableGraph, budget: int, config: RandomizedConfig,
     """
     require_valid(graph)
     if budget < 0:
-        raise ValueError("budget must be nonnegative")
+        raise DisconnectedGraphError("no budget-feasible spanning tree exists")
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
 
     relaxed, length, spend, fallback = _plan(graph, budget, config.epsilon_prime, minimize)

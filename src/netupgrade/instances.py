@@ -7,14 +7,18 @@ Two instance families:
 * ``DagInstance`` -- a DAG with per-edge base length, improved length and
   improvement cost, plus a source and a sink.
 
-Instances are immutable after construction; every operation here is pure.
-So a fact derived from an instance can be kept on the instance itself:
-``_memo(instance)`` is a dict in the instance's ``__dict__``, outside the
-dataclass fields, so ``==``, ``hash`` and ``repr`` never see it.  It holds
-successes only.  ``require_valid`` records a passed validation per
-``improvement`` direction and never a failure, so an invalid instance raises
-the same violations on every call.  ``st_edges`` keeps a DAG's source-sink
-edges there, which every DAG solve and ``effective_max_length`` read; the
+Edges, ladder levels and multigraph copies are ``NamedTuple`` records, cheap
+to build; validation reads them by unpacking.  Instances are immutable
+after construction and every operation here is pure, so a fact derived from
+an instance can be kept on the instance itself: ``_memo(instance)`` is a dict
+in the instance's ``__dict__``, outside the dataclass fields, so ``==``,
+``hash`` and ``repr`` never see it.  It holds successes only.
+``require_valid`` records a passed validation per ``improvement`` direction
+and never a failure, so an invalid instance raises the same violations on
+every call.  A DAG keeps its topological order, the vertices its source
+reaches and its source-sink edges (``st_edges``) there, so validation,
+``effective_max_length`` and the frontier DP share one computation of each.
+A graph keeps its ladders as plain tuples for ``solution_from_choices``; the
 solvers keep their derived plans (the randomized solver's relaxation, the
 base-length spanning tree) there too.  The rule assumes the instance is
 built from tuples and never mutated.
@@ -25,6 +29,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._util import UnionFind
 
@@ -41,14 +46,12 @@ class DisconnectedGraphError(ValueError):
     """Raised when a spanning-tree routine gets a disconnected graph."""
 
 
-@dataclass(frozen=True)
-class ImprovementLevel:
+class ImprovementLevel(NamedTuple):
     length: int
     cost: int
 
 
-@dataclass(frozen=True)
-class UpgradableEdge:
+class UpgradableEdge(NamedTuple):
     id: int
     u: int
     v: int
@@ -69,8 +72,7 @@ class UpgradableGraph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class DagEdge:
+class DagEdge(NamedTuple):
     id: int
     tail: int
     head: int
@@ -91,14 +93,17 @@ class DagInstance:
         return len(self.edges)
 
     def topological_order(self) -> list[int]:
-        """Kahn's algorithm; smallest vertex id first for determinism.
+        """Kahn's algorithm, smallest vertex id first; memoized, as a fresh list.
 
         Raises InvalidInstanceError if the edge relation has a cycle.
         """
-        order = _topological_order(self.n, self.edges)
-        if order is None:
-            raise InvalidInstanceError(["not acyclic"])
-        return order
+        memo = _memo(self)
+        if "order" not in memo:
+            order = _topological_order(self.n, self.edges)
+            if order is None:
+                raise InvalidInstanceError(["not acyclic"])
+            memo["order"] = order
+        return list(memo["order"])
 
     def effective_max_length(self, budget: int) -> int:
         """Largest edge length realizable on some s-t path within `budget`.
@@ -107,12 +112,8 @@ class DagInstance:
         edges off every s-t path are ignored.  This is W: the longest-path
         FPTAS derives its scaling unit from it, and ``bench`` reports it.
         """
-        best = 0
-        for e in st_edges(self):
-            best = max(best, e.base)
-            if e.cost <= budget:
-                best = max(best, e.improved)
-        return best
+        return max([0] + [max(e.base, e.improved) if e.cost <= budget else e.base
+                          for e in st_edges(self)])
 
 
 @dataclass
@@ -137,8 +138,7 @@ class PathSolution:
     total_spend: int
 
 
-@dataclass(frozen=True)
-class EdgeCopy:
+class EdgeCopy(NamedTuple):
     """One parallel copy in the multigraph expansion of an UpgradableGraph."""
 
     copy_id: int
@@ -201,11 +201,19 @@ def reaching_to(dag: DagInstance, target: int) -> set[int]:
     return _walk(dag, target, forward=False)
 
 
+def _source_reach(dag: DagInstance) -> set[int]:
+    """Vertices reachable from the source; memoized."""
+    memo = _memo(dag)
+    if "from_s" not in memo:
+        memo["from_s"] = reachable_from(dag, dag.source)
+    return memo["from_s"]
+
+
 def st_edges(dag: DagInstance) -> tuple[DagEdge, ...]:
     """Edges lying on some source-sink path, in id order; memoized."""
     memo = _memo(dag)
     if "st_edges" not in memo:
-        from_s = reachable_from(dag, dag.source)
+        from_s = _source_reach(dag)
         to_t = reaching_to(dag, dag.sink)
         memo["st_edges"] = tuple(e for e in dag.edges
                                  if e.tail in from_s and e.head in to_t)
@@ -230,34 +238,33 @@ def _validate_graph(graph: UpgradableGraph) -> list[str]:
     if graph.n < 1:
         bad.append("vertex count must be positive")
         return bad
-    seen_ids = set()
+    n, seen_ids = graph.n, set()
     endpoints_in_range = True
-    for e in graph.edges:
-        if e.id in seen_ids:
-            bad.append(f"duplicate edge id {e.id}")
-        seen_ids.add(e.id)
-        if not (0 <= e.u < graph.n and 0 <= e.v < graph.n):
-            bad.append(f"edge {e.id}: endpoint out of range")
+    for eid, u, v, ladder in graph.edges:
+        if eid in seen_ids:
+            bad.append(f"duplicate edge id {eid}")
+        seen_ids.add(eid)
+        if not (0 <= u < n and 0 <= v < n):
+            bad.append(f"edge {eid}: endpoint out of range")
             endpoints_in_range = False
-        elif e.u == e.v:
-            bad.append(f"edge {e.id}: endpoints must be distinct")
-        if not e.ladder:
-            bad.append(f"edge {e.id}: empty ladder")
+        elif u == v:
+            bad.append(f"edge {eid}: endpoints must be distinct")
+        if not ladder:
+            bad.append(f"edge {eid}: empty ladder")
             continue
-        if e.ladder[0].cost != 0:
-            bad.append(f"edge {e.id}: level 0 must cost 0")
-        for lvl in e.ladder:
-            if lvl.length < 0 or lvl.cost < 0:
-                bad.append(f"edge {e.id}: negative length or cost")
+        if ladder[0].cost != 0:
+            bad.append(f"edge {eid}: level 0 must cost 0")
+        for length, cost in ladder:
+            if length < 0 or cost < 0:
+                bad.append(f"edge {eid}: negative length or cost")
                 break
-        lengths = [lvl.length for lvl in e.ladder]
-        costs = [lvl.cost for lvl in e.ladder]
+        lengths, costs = zip(*ladder)
         increasing = all(a <= b for a, b in zip(lengths, lengths[1:]))
         decreasing = all(a >= b for a, b in zip(lengths, lengths[1:]))
         if not (increasing or decreasing):
-            bad.append(f"edge {e.id}: ladder lengths not monotone")
+            bad.append(f"edge {eid}: ladder lengths not monotone")
         if not all(a <= b for a, b in zip(costs, costs[1:])):
-            bad.append(f"edge {e.id}: ladder costs not nondecreasing")
+            bad.append(f"edge {eid}: ladder costs not nondecreasing")
     if any(e.id != i for i, e in enumerate(graph.edges)):
         bad.append(_NOT_DENSE)
     # connectivity is only defined over in-range endpoints
@@ -271,21 +278,21 @@ def _validate_dag(dag: DagInstance, improvement: str) -> list[str]:
     if dag.n < 2:
         bad.append("DAG needs at least two vertices")
         return bad
-    seen_ids = set()
+    n, seen_ids = dag.n, set()
     endpoints_in_range = True
-    for e in dag.edges:
-        if e.id in seen_ids:
-            bad.append(f"edge {e.id}: duplicate id")
-        seen_ids.add(e.id)
-        if not (0 <= e.tail < dag.n and 0 <= e.head < dag.n):
-            bad.append(f"edge {e.id}: endpoint out of range")
+    for eid, tail, head, base, improved, cost in dag.edges:
+        if eid in seen_ids:
+            bad.append(f"edge {eid}: duplicate id")
+        seen_ids.add(eid)
+        if not (0 <= tail < n and 0 <= head < n):
+            bad.append(f"edge {eid}: endpoint out of range")
             endpoints_in_range = False
-        if min(e.base, e.improved, e.cost) < 0:
-            bad.append(f"edge {e.id}: negative length or cost")
-        if improvement == "increase" and e.base > e.improved:
-            bad.append(f"edge {e.id}: improved length below base length")
-        if improvement == "decrease" and e.improved > e.base:
-            bad.append(f"edge {e.id}: improved length above base length")
+        if base < 0 or improved < 0 or cost < 0:
+            bad.append(f"edge {eid}: negative length or cost")
+        if improvement == "increase" and base > improved:
+            bad.append(f"edge {eid}: improved length below base length")
+        if improvement == "decrease" and improved > base:
+            bad.append(f"edge {eid}: improved length above base length")
     if any(e.id != i for i, e in enumerate(dag.edges)):
         bad.append(_NOT_DENSE)
     if not (0 <= dag.source < dag.n and 0 <= dag.sink < dag.n):
@@ -295,10 +302,12 @@ def _validate_dag(dag: DagInstance, improvement: str) -> list[str]:
         bad.append("source and sink must differ")
     if not endpoints_in_range:  # the graph walks below index by endpoint
         return bad
-    if _topological_order(dag.n, dag.edges) is None:
+    try:
+        dag.topological_order()
+    except InvalidInstanceError:
         bad.append("not acyclic")
         return bad
-    if dag.sink not in reachable_from(dag, dag.source):
+    if dag.sink not in _source_reach(dag):
         bad.append("sink not reachable from source")
     return bad
 
@@ -341,21 +350,23 @@ def expand_to_multigraph(graph: UpgradableGraph) -> MultiGraph:
     """
     copies = []
     cid = 0
-    for e in graph.edges:
-        for level, lvl in enumerate(e.ladder):
-            copies.append(EdgeCopy(cid, e.u, e.v, lvl.length, lvl.cost, e.id, level))
+    for eid, u, v, ladder in graph.edges:
+        for level, (length, cost) in enumerate(ladder):
+            copies.append(EdgeCopy(cid, u, v, length, cost, eid, level))
             cid += 1
     return MultiGraph(graph.n, tuple(copies))
 
 
 def solution_from_choices(graph: UpgradableGraph, choices: dict[int, int]) -> TreeSolution:
     """Build a TreeSolution, computing totals from the graph's ladders."""
-    length = 0
-    spend = 0
+    ladders = _memo(graph).get("ladders")
+    if ladders is None:  # read once per sampled trial: plain tuples read faster than records
+        ladders = _memo(graph)["ladders"] = [tuple(map(tuple, e.ladder)) for e in graph.edges]
+    length = spend = 0
     for eid, lvl in choices.items():
-        step = graph.edges[eid].ladder[lvl]
-        length += step.length
-        spend += step.cost
+        step_length, step_cost = ladders[eid][lvl]
+        length += step_length
+        spend += step_cost
     return TreeSolution(dict(choices), length, spend)
 
 

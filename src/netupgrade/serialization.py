@@ -14,14 +14,15 @@ any order and stores them sorted by id, because solvers look an edge up as
 per-vertex arrays stay small.
 
 Every document is read in one checked pass over its edges, which builds
-the instance's edges directly; the instance is then validated once.  Fields
-are tested with exact ``type(x) is int``/``list``/``dict`` checks, which equal
-``_want``'s for ``json.loads`` output; ``_want`` runs only to word an error.
-Extra keys are accepted.  A "wildag" ladder-shape error (two levels, level 0
-free) is raised only after every edge's field checks and after "source",
-"sink" and "directed", as the first such error in input order.  Undecodable
-input (bad UTF-8, JSON nested past the recursion limit) is a FormatError at
-"$".
+the instance's edge records and notes whether any "wildag" ladder decreases
+(a shortest-path instance); the instance is then validated once, in that
+direction.  Fields are tested with exact ``type(x) is int``/``list``/``dict``
+checks, which equal ``_want``'s for ``json.loads`` output; ``_want`` runs
+only to word an error.  Extra keys are accepted.  A "wildag" ladder-shape
+error (two levels, level 0 free) is raised only after every edge's field
+checks and after "source", "sink" and "directed", as the first such error in
+input order.  Undecodable input (bad UTF-8, JSON nested past the recursion
+limit) is a FormatError at "$".
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ def parse(data: bytes | str) -> Problem:
     imst = kind == "imst"
     edges = []
     shape_error = None  # first wildag ladder-shape error; raised after every field check
+    decrease = False  # a shortest-path instance stores decreasing ladders in the same format
     for i, entry in enumerate(raw_edges):
         if type(entry) is not dict:
             raise FormatError("edge must be an object", f"$.edges[{i}]")
@@ -122,6 +124,7 @@ def parse(data: bytes | str) -> Problem:
             (l, c0), (h, q) = ladder
             if c0 == 0:
                 edges.append(DagEdge(eid, u, v, l, h, q))
+                decrease = decrease or h < l
                 continue
         if shape_error is None:
             shape_error = FormatError("wildag ladders must have exactly two levels"
@@ -132,7 +135,7 @@ def parse(data: bytes | str) -> Problem:
         if _want(doc, "directed", bool, "$"):
             raise FormatError('"imst" instances must have "directed": false', "$.directed")
         graph = UpgradableGraph(n, tuple(edges))
-        _require_valid(graph, "$")
+        _require_valid(graph, "increase")
         return Problem("imst", budget, graph=graph)
     source = _want(doc, "source", int, "$")
     sink = _want(doc, "sink", int, "$")
@@ -141,19 +144,14 @@ def parse(data: bytes | str) -> Problem:
     if shape_error is not None:
         raise shape_error
     dag = DagInstance(n, tuple(edges), source, sink)
-    _require_valid(dag, "$")
+    _require_valid(dag, "decrease" if decrease else "increase")
     return Problem("wildag", budget, dag=dag)
 
 
-def _require_valid(instance, location: str) -> None:
-    # shortest-path instances store decreasing ladders in the same format
-    improvement = "increase"
-    if isinstance(instance, DagInstance) and any(e.improved < e.base for e in instance.edges):
-        improvement = "decrease"
+def _require_valid(instance, improvement: str) -> None:
     if validate(instance, improvement=improvement):
         # errors are reported against the longest-path rules in either case
-        violations = validate(instance)
-        raise FormatError("invalid instance: " + "; ".join(violations), location)
+        raise FormatError("invalid instance: " + "; ".join(validate(instance)), "$")
     # the solver's require_valid in the same direction then passes at once
     _memo(instance)["valid", improvement] = True
 

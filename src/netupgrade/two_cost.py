@@ -233,7 +233,7 @@ def _relabel(copies: Sequence[Copy], labels: list[int]) -> list[Copy]:
 def two_cost_mst(mg: MultiGraph, budget: int, eps: Fraction) -> TwoCostResult:
     """Spanning tree with length >= OPT(budget) and cost <= (1+eps)*budget."""
     if budget < 0:
-        raise ValueError("budget must be nonnegative")
+        raise DisconnectedGraphError("no budget-feasible spanning tree exists")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")

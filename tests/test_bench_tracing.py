@@ -65,9 +65,10 @@ def test_tracer_sees_one_validation_and_one_relaxation_per_graph(monkeypatch):
     assert counts["mst_uniform.mst.calls"] <= 2
 
 
-def test_tracer_sees_three_reachability_walks_per_fptas_solve(monkeypatch):
-    """One walk for validation and two for the source-sink edges, which the
-    scaling unit and the frontier DP share."""
+def test_tracer_sees_two_reachability_walks_per_fptas_solve(monkeypatch):
+    """Validation's walk from the source, which the source-sink edges reuse,
+    and one walk back from the sink; the scaling unit and the frontier DP
+    share the edges."""
     monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
     import tracing
     from netupgrade import dag_dp
@@ -80,7 +81,7 @@ def test_tracer_sees_three_reachability_walks_per_fptas_solve(monkeypatch):
     finally:
         tracer.uninstall()
     _times, counts, _hit_ratio = tracer.metrics()
-    assert counts["instances.reach.calls"] == 3
+    assert counts["instances.reach.calls"] == 2
 
 
 def test_tracer_sees_one_parse_and_one_validation_per_dag_solve(tmp_path, monkeypatch, capsys):

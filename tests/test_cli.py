@@ -124,6 +124,15 @@ def test_exit_code_infeasible(algo, message, tmp_path, capsys):
     assert (code, out, err) == (3, "", f"infeasible: {message}\n")
 
 
+@pytest.mark.parametrize("algo", ["twocost", "imst", "exact-twocost", "exact-imst"])
+def test_negative_budget_is_infeasible_for_every_budgeted_tree_algo(algo, tmp_path, capsys):
+    path = gen_file(tmp_path, capsys)
+    code, out, err = run(capsys, "solve", "--algo", algo, "--budget", "-1",
+                         "--in", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("infeasible: ") and err.count("\n") == 1
+
+
 def test_verify_emits_csv(capsys):
     code, out, _ = run(capsys, "verify", "--algo", "twocost", "--count", "2",
                        "--size", "5", "--seed", "11")

@@ -1,8 +1,10 @@
 import pytest
 
+from netupgrade.generate import gen_random_dag, gen_random_graph
 from netupgrade.instances import (
     DagEdge,
     DagInstance,
+    EdgeCopy,
     ImprovementLevel,
     InvalidInstanceError,
     UpgradableEdge,
@@ -13,6 +15,7 @@ from netupgrade.instances import (
     solution_from_choices,
     validate,
 )
+from netupgrade.serialization import Problem, parse, serialize
 
 
 def lvl(length, cost):
@@ -133,3 +136,57 @@ def test_evaluate_path():
     d = simple_dag()
     assert evaluate_path(d, (0, 1), (True, False)) == (6, 3)
     assert evaluate_path(d, (2, 3), (False, True)) == (6, 1)
+
+
+# ------------------------------------------------------------- edge records
+# Each record with its fields in declaration order, positional values and
+# the repr text it had as a frozen dataclass.
+
+RECORDS = [
+    (ImprovementLevel, ("length", "cost"), (3, 1),
+     "ImprovementLevel(length=3, cost=1)"),
+    (UpgradableEdge, ("id", "u", "v", "ladder"),
+     (0, 0, 1, (ImprovementLevel(1, 0), ImprovementLevel(4, 2))),
+     "UpgradableEdge(id=0, u=0, v=1, ladder=(ImprovementLevel(length=1, cost=0),"
+     " ImprovementLevel(length=4, cost=2)))"),
+    (DagEdge, ("id", "tail", "head", "base", "improved", "cost"), (0, 0, 1, 2, 5, 1),
+     "DagEdge(id=0, tail=0, head=1, base=2, improved=5, cost=1)"),
+    (EdgeCopy, ("copy_id", "u", "v", "length", "cost", "edge_id", "level"),
+     (4, 1, 2, 7, 3, 2, 1),
+     "EdgeCopy(copy_id=4, u=1, v=2, length=7, cost=3, edge_id=2, level=1)"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, values, text", RECORDS)
+def test_record_fields_construction_and_repr(cls, fields, values, text):
+    record = cls(*values)
+    assert cls._fields == fields
+    assert tuple(getattr(record, name) for name in fields) == values
+    assert record == cls(**dict(zip(fields, values)))
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("cls, fields, values, text", RECORDS)
+def test_records_are_immutable_and_hashable(cls, fields, values, text):
+    record = cls(*values)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert record == cls(*values) and hash(record) == hash(cls(*values))
+    assert len({record, cls(*values)}) == 1
+
+
+def test_upgradable_edge_base_is_level_zero():
+    assert UpgradableEdge(0, 0, 1, (lvl(4, 0), lvl(9, 3))).base == lvl(4, 0)
+
+
+@pytest.mark.parametrize("problem", [
+    Problem("imst", 7, graph=gen_random_graph(8, 14, levels=3, seed=2)),
+    Problem("wildag", 5, dag=gen_random_dag(9, 20, seed=2)),
+])
+def test_two_parses_give_equal_hashable_instances(problem):
+    doc = serialize(problem)
+    first, second = parse(doc).instance, parse(doc).instance
+    assert first == second and hash(first) == hash(second)
+    assert first.edges == problem.instance.edges
+    assert {first, second, problem.instance} == {first}

@@ -1,4 +1,5 @@
-"""Facts memoized on an instance: validation, the randomized solver's
+"""Facts memoized on an instance: validation, a DAG's topological order and
+source reach, a graph's ladders as plain tuples, the randomized solver's
 relaxation plan and the base-length spanning tree.
 
 The memo must be invisible: solving an instance once or many times gives the
@@ -38,7 +39,7 @@ from netupgrade.instances import (
     validate,
 )
 from netupgrade.mst_uniform import max_spanning_tree, uimst_half_approx
-from netupgrade.serialization import parse
+from netupgrade.serialization import Problem, parse, serialize
 from netupgrade.two_cost import two_cost_mst
 from netupgrade._util import MASK64, UnionFind, splitmix64
 
@@ -130,6 +131,55 @@ def test_memo_is_invisible_to_eq_hash_and_repr():
     assert [(repr(x), hash(x)) for x in (g, dag)] == before
     assert g == twin and twin == g
     assert dag == generate.gen_random_dag(7, 12, seed=3)
+
+
+def test_topological_order_returns_a_fresh_list():
+    dag = generate.gen_random_dag(9, 20, seed=5)
+    order = dag.topological_order()
+    expected = list(order)
+    order.reverse()
+    order.append(99)
+    assert dag.topological_order() == expected
+    assert dag.topological_order() is not dag.topological_order()
+
+
+def test_a_cycle_is_reported_on_every_call():
+    dag = DagInstance(3, (DagEdge(0, 0, 1, 1, 2, 1), DagEdge(1, 1, 2, 1, 2, 1),
+                          DagEdge(2, 2, 1, 1, 2, 1)), 0, 2)
+    for _ in range(3):
+        with pytest.raises(InvalidInstanceError, match="not acyclic"):
+            dag.topological_order()
+        assert validate(dag) == ["not acyclic"]
+        with pytest.raises(InvalidInstanceError, match="not acyclic"):
+            dag_dp.wildag_uniform(dag, 1)
+    assert None not in instances._memo(dag).values()
+
+
+def test_parse_and_solve_order_and_walk_from_the_source_once(monkeypatch):
+    kahn, walks = [], []
+    real_kahn, real_walk = instances._topological_order, instances.reachable_from
+    monkeypatch.setattr(instances, "_topological_order",
+                        lambda *a: kahn.append(a) or real_kahn(*a))
+    monkeypatch.setattr(instances, "reachable_from",
+                        lambda *a: walks.append(a) or real_walk(*a))
+    doc = serialize(Problem("wildag", 6, dag=generate.gen_random_dag(12, 30, seed=2)))
+    dag = parse(doc).dag
+    dag_dp.wildag_budget_exact(dag, 6)
+    dag_dp.wildag_fptas(dag, 6, Fraction(1, 3))
+    assert len(kahn) == 1 and len(walks) == 1
+
+
+def test_solution_totals_read_from_the_kept_ladders():
+    rng = random.Random(5)
+    for seed in range(20):
+        g = generate.gen_random_graph(7, 12, levels=3, seed=seed)
+        for _ in range(3):
+            choices = {e.id: rng.randrange(len(e.ladder)) for e in g.edges[:6]}
+            sol = solution_from_choices(g, choices)
+            steps = [g.edges[eid].ladder[lvl] for eid, lvl in choices.items()]
+            assert sol.choices == choices
+            assert sol.total_length == sum(s.length for s in steps)
+            assert sol.total_spend == sum(s.cost for s in steps)
 
 
 # ------------------------------------- equivalence with the unmemoized pipeline
