@@ -56,13 +56,31 @@ class UnionFind:
 def kruskal(ordered, uf: UnionFind, limit: int) -> list:
     """The records of ``ordered``, endpoints at positions 1 and 2, that join
     two of ``uf``'s components, taken greedily in order and merged into
-    ``uf``; stops once ``limit`` are chosen."""
+    ``uf``; stops once ``limit`` are chosen.
+
+    The union-find runs inline, with path halving (Tarjan & van Leeuwen
+    1984) and union by rank as in ``UnionFind.union``: this loop is the hot
+    spot of every tree solver, and a method call per record costs more than
+    the merge itself.
+    """
     chosen: list = []
     if limit <= 0:
         return chosen
+    parent, rank = uf.parent, uf.rank
     for rec in ordered:
-        if uf.union(rec[1], rec[2]):
-            chosen.append(rec)
-            if len(chosen) == limit:
-                break
+        u, v = rec[1], rec[2]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            continue
+        if rank[u] < rank[v]:
+            u, v = v, u
+        parent[v] = u
+        if rank[u] == rank[v]:
+            rank[u] += 1
+        chosen.append(rec)
+        if len(chosen) == limit:
+            break
     return chosen

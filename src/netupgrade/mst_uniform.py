@@ -3,9 +3,10 @@
 Builds two candidate trees: a maximum spanning tree on base lengths, and a
 size-capped greedy forest on improved lengths extended to a tree by base
 edges.  The longer of the two is within a factor 1/2 of the optimum for any
-improvement cap k.  The base-length tree and the two edge orders Kruskal
-reads (by base and by improved length) do not depend on k, so each is
-computed once per graph and kept in the graph's memo.
+improvement cap k.  The base-length tree and its totals, the two-level
+ladder check and the two edge orders Kruskal reads (by base and by improved
+length) do not depend on k, so each is computed once per graph and kept in
+the graph's memo.
 """
 
 from __future__ import annotations
@@ -66,11 +67,14 @@ def uimst_half_approx(graph: UpgradableGraph, k: int) -> TreeSolution:
     edges.  Requires two-level ladders.
     """
     require_valid(graph)
-    if any(len(e.ladder) != 2 for e in graph.edges):
-        raise ValueError("uimst_half_approx needs two-level ladders")
+    memo = _memo(graph)
+    if "base_totals" not in memo:  # a graph that fails the ladder check is never memoized
+        if any(len(e.ladder) != 2 for e in graph.edges):
+            raise ValueError("uimst_half_approx needs two-level ladders")
+        sol1 = solution_from_choices(graph, dict.fromkeys(base_tree(graph), 0))
+        memo["base_totals"] = sol1.total_length, sol1.total_spend
     if k < 0:
         raise ValueError("cap must be nonnegative")
-    sol1 = solution_from_choices(graph, dict.fromkeys(base_tree(graph), 0))
 
     # the fill skips each forest edge's base copy, whose endpoints the forest joins
     uf = UnionFind(graph.n)
@@ -81,4 +85,7 @@ def uimst_half_approx(graph: UpgradableGraph, k: int) -> TreeSolution:
     sol2 = solution_from_choices(graph, choices2)
 
     # on a tie prefer the improved-forest tree
-    return sol1 if sol1.total_length > sol2.total_length else sol2
+    length, spend = memo["base_totals"]
+    if length > sol2.total_length:
+        return TreeSolution(dict.fromkeys(base_tree(graph), 0), length, spend)
+    return sol2

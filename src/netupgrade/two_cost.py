@@ -33,7 +33,14 @@ nonnegative.  The scheme:
    exceeds the residual budget has length >= OPT while overshooting the
    budget by at most one cheap copy, i.e. at most eps*B.
 
-All multiplier arithmetic is exact (fractions over bounded integers).
+All multiplier arithmetic is exact (fractions over bounded integers), and
+the inner loops run on plain integers.  The light copies are sorted once per
+solve by (cost, copy id), and every residual relabelled from them keeps that
+order; F_0 and F_inf, each read at its one multiplier, list copies of equal
+key there by (cost, id) as well.  At a multiplier p/q each Lagrangian tree
+then sorts by the one integer p*cost - q*length: the sort is stable, so
+equal keys keep the (cost, id) order, the tie-break toward cheaper copies.
+The chord search compares Lagrangian values by integer cross-multiplication.
 """
 
 from __future__ import annotations
@@ -81,20 +88,24 @@ def lagrangian_tree(k: int, copies: Sequence[Copy], lam: Fraction,
     """Maximum spanning tree on k vertices under the combined weight l - lambda*c.
 
     Ties break toward lower cost, then lower copy id, so equal-weight
-    exact hits prefer cheaper copies.
+    exact hits prefer cheaper copies.  That tie-break comes from the input
+    order: ``copies`` must list equal-weight copies by (cost, copy id), as a
+    list sorted by (cost, copy id) does at every multiplier.
     """
-    if lam < 0:
-        raise ValueError("multiplier must be nonnegative")
     lam = Fraction(lam)
-    # p*c - q*l orders copies as lambda*c - l does, in exact integers
+    # p*c - q*l orders copies as lambda*c - l does, in exact integers; the
+    # stable sort keeps the input's (cost, id) order among equal keys
     p, q = lam.numerator, lam.denominator
-    chosen = kruskal(sorted(copies, key=lambda c: (p * c[4] - q * c[3], c[4], c[0])),
-                     UnionFind(k), k - 1)
+    if p < 0:
+        raise ValueError("multiplier must be nonnegative")
+    chosen = kruskal(sorted(copies, key=lambda c: p * c[4] - q * c[3]), UnionFind(k), k - 1)
     if len(chosen) != k - 1:
         raise DisconnectedGraphError("multigraph is not connected")
-    length = sum(c[3] for c in chosen)
-    cost = sum(c[4] for c in chosen)
-    value = Fraction(length) - lam * (cost - budget)
+    length = cost = 0
+    for c in chosen:
+        length += c[3]
+        cost += c[4]
+    value = Fraction(q * length - p * (cost - budget), q)
     return LagrangianPoint(lam, tuple(sorted(c[0] for c in chosen)), length, cost, value)
 
 
@@ -110,6 +121,7 @@ def lambda_search(k: int, copies: Sequence[Copy], budget: int, need: int | None 
     soon as a solved tree proves that the tree this search yields is shorter
     than ``need`` (module docstring, step 2).  ``at_zero`` is the tree at
     multiplier 0 and ``cheap`` holds F_inf, if the caller has them.
+    ``copies`` are in (cost, copy id) order, as ``lagrangian_tree`` needs.
     """
     p_lo = lagrangian_tree(k, copies, Fraction(0), budget) if at_zero is None else at_zero
     # the tree at multiplier 0 is the longest tree, so it bounds every tree
@@ -118,25 +130,29 @@ def lambda_search(k: int, copies: Sequence[Copy], budget: int, need: int | None 
         return None
     if p_lo.cost <= budget:
         return LambdaSearchResult(exact=p_lo)
-    total_cost = sum(c[4] for c in copies)
+    _, _, _, lengths, costs = zip(*copies) if copies else ((),) * 5
+    total_cost = sum(costs)
     # the yielded tree costs at most one copy more than the budget
-    reach = budget + max((c[4] for c in copies), default=0)
+    reach = budget + max(costs, default=0)
     # above the total length, the multiplier orders copies by (cost, -length, id)
     p_hi = lagrangian_tree(k, copies if cheap is None else cheap,
-                           Fraction(sum(c[3] for c in copies) + 1), budget)
+                           Fraction(sum(lengths) + 1), budget)
     if p_hi.cost > budget:
         raise DisconnectedGraphError("no budget-feasible spanning tree")
     # chord (Newton) step on the piecewise-linear dual: where the lines of an over-
-    # and an under-budget optimum meet, both are optimal or a better tree is found
+    # and an under-budget optimum meet, both are optimal or a better tree is found;
+    # with lam = p/q every comparison is scaled by q > 0 into integers
     while True:
         lam = Fraction(p_lo.length - p_hi.length, p_lo.cost - p_hi.cost)
+        p, q = lam.numerator, lam.denominator
         under = lagrangian_tree(k, copies, lam, budget)
-        if need is not None and under.length - lam * (under.cost - reach) < need:
+        if need is not None and q * under.length - p * (under.cost - reach) < q * need:
             return None
-        line = p_hi.length - lam * (p_hi.cost - budget)
-        if under.lagrangian_value == line:
+        # under's value minus p_hi's line at lam, times q
+        gap = q * (under.length - p_hi.length) - p * (under.cost - p_hi.cost)
+        if gap == 0:
             break
-        assert under.lagrangian_value > line, "chord tree below the dual"
+        assert gap > 0, "chord tree below the dual"
         if under.cost > budget:
             p_lo = under
         else:
@@ -240,7 +256,9 @@ def two_cost_mst(mg: MultiGraph, budget: int, eps: Fraction) -> TwoCostResult:
     copies_by_id = {c.copy_id: c for c in mg.copies}
     threshold = eps * budget
     heavy = sorted((c for c in mg.copies if c.cost > threshold), key=lambda c: c.copy_id)
-    light = [(c.copy_id, c.u, c.v, c.length, c.cost) for c in mg.copies if c.cost <= threshold]
+    # in the (cost, id) order lagrangian_tree needs (module docstring)
+    light = sorted(((c.copy_id, c.u, c.v, c.length, c.cost) for c in mg.copies
+                    if c.cost <= threshold), key=lambda c: (c[4], c[0]))
     # the greedy forests F_0 and F_inf (module docstring, step 1)
     zero = kruskal(sorted(light, key=lambda c: (-c[3], c[4], c[0])), UnionFind(mg.n), mg.n - 1)
     inf = kruskal(sorted(light, key=lambda c: (c[4], -c[3], c[0])), UnionFind(mg.n), mg.n - 1)

@@ -314,6 +314,40 @@ def test_uimst_equals_the_unmemoized_solver_for_every_k():
             assert uimst_half_approx(g, k) == reference_uimst(g, k)
 
 
+def test_uimst_results_stay_fresh_across_repeated_calls():
+    # the base tree's totals and the ladder check are kept on the graph, so a
+    # caller editing one result must not change any later one; on falling
+    # ladders the base-length tree can be the longer candidate
+    base_wins = 0
+    for seed in range(40):
+        n = 3 + seed % 6
+        g = generate.gen_random_graph(n, min(n * (n - 1) // 2, 2 * n), max_len=12, seed=seed)
+        if seed % 2:
+            g = UpgradableGraph(n, tuple(
+                UpgradableEdge(e.id, e.u, e.v, (ImprovementLevel(e.ladder[1].length, 0),
+                                                ImprovementLevel(e.ladder[0].length,
+                                                                 e.ladder[1].cost)))
+                for e in g.edges))
+        for k in range(n):
+            first = uimst_half_approx(g, k)
+            base_wins += k > 0 and not first.improved_edges()
+            first.choices.clear()
+            first.choices[n] = 1
+            assert uimst_half_approx(g, k) == reference_uimst(g, k)
+    assert base_wins >= 40
+
+
+def test_uimst_ladder_check_is_never_remembered_as_a_pass():
+    g = generate.gen_random_graph(5, 7, levels=3, seed=2)
+    for k in (1, 1, 0):
+        with pytest.raises(ValueError, match="two-level"):
+            uimst_half_approx(g, k)
+    two_level = generate.gen_random_graph(5, 7, seed=2)
+    uimst_half_approx(two_level, 1)
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        uimst_half_approx(two_level, -1)
+
+
 def test_each_direction_keeps_its_own_plan():
     # one graph solved both ways keeps a separate plan per direction
     g = UpgradableGraph(3, (

@@ -35,8 +35,10 @@ def small_mg(seed, n=5, budget_hint=8):
 
 
 def _split(mg):
-    """(k, copies): a multigraph as the solver's (copy_id, u, v, length, cost) tuples."""
-    return mg.n, [(c.copy_id, c.u, c.v, c.length, c.cost) for c in mg.copies]
+    """(k, copies): a multigraph as the solver's (copy_id, u, v, length, cost)
+    tuples, in the (cost, copy id) order ``lagrangian_tree`` needs."""
+    return mg.n, sorted(((c.copy_id, c.u, c.v, c.length, c.cost) for c in mg.copies),
+                        key=lambda c: (c[4], c[0]))
 
 
 def test_lagrangian_tree_at_zero_is_max_length():

@@ -1,4 +1,6 @@
-from netupgrade._util import MASK64, UnionFind, fnv1a64, splitmix64
+import random
+
+from netupgrade._util import MASK64, UnionFind, fnv1a64, kruskal, splitmix64
 
 
 def test_splitmix64_reference_values():
@@ -25,3 +27,50 @@ def test_union_find_basics():
     uf.union(1, 3)
     assert uf.find(0) == uf.find(2)
     assert uf.components() == 2
+
+
+def kruskal_by_union(ordered, uf, limit):
+    """Test-local copy of the Kruskal loop that calls ``uf.union`` once per
+    record, the reference for the inline union-find."""
+    chosen = []
+    if limit <= 0:
+        return chosen
+    for rec in ordered:
+        if uf.union(rec[1], rec[2]):
+            chosen.append(rec)
+            if len(chosen) == limit:
+                break
+    return chosen
+
+
+def _partition(uf, n):
+    """uf's components as a frozenset of vertex sets."""
+    groups = {}
+    for v in range(n):
+        groups.setdefault(uf.find(v), set()).add(v)
+    return frozenset(map(frozenset, groups.values()))
+
+
+def test_inline_kruskal_matches_the_union_call_loop():
+    # random record orders (loops and parallel records included) on union-finds
+    # pre-seeded with random merges; a second pass reuses each union-find, as
+    # uimst_half_approx's base-edge fill does
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        records = [(i, rng.randrange(n), rng.randrange(n)) for i in range(rng.randint(0, 3 * n))]
+        seed_merges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+        inline, reference = UnionFind(n), UnionFind(n)
+        for u, v in seed_merges:
+            inline.union(u, v)
+            reference.union(u, v)
+        for limit in (0, 1, n - 1, rng.randint(0, n + 1)):
+            ordered = rng.sample(records, len(records))
+            got = kruskal(ordered, inline, limit)
+            assert got == kruskal_by_union(ordered, reference, limit)
+            assert len(got) <= max(limit, 0)
+            assert _partition(inline, n) == _partition(reference, n)
+            assert inline.components() == reference.components()
+            checked += len(got)
+    assert checked >= 1000
