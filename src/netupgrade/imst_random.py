@@ -18,8 +18,12 @@ trials read only the unshifted graph.
 
 The relaxation depends only on (budget, eps', minimize), so it is kept in the
 instance's memo (``instances._memo``) as a small plan: the relaxed tree's
-choices and totals and the fallback tree.  Repeated solves on one instance,
-over many master seeds, validate and relax once.
+choices and totals, the fallback tree, and one record per upgraded edge of
+the relaxed tree, in ascending edge id, holding the length and spend a trial
+loses when it reverts that edge to level 0.  A trial is then its draws alone:
+one ``random()`` per record, and the relaxed totals minus the losses of the
+edges it reverts.  Only the winning tree is built, once per solve.  Repeated
+solves on one instance, over many master seeds, validate and relax once.
 """
 
 from __future__ import annotations
@@ -123,20 +127,30 @@ def shift_lengths(graph: UpgradableGraph, shift: int, n_scale: int) -> Upgradabl
     return _map_lengths(graph, lambda x: x * n_scale + shift)
 
 
+def _keep_probability(eps_prime: Fraction) -> float:
+    """1/(1+eps')^2, as one correctly rounded division."""
+    p, q = eps_prime.as_integer_ratio()
+    return q * q / ((p + q) * (p + q))
+
+
+def _reverted(records, keep: float, draw) -> list:
+    """The records a trial reverts to level 0: one draw per record, in order;
+    a record keeps its level when its draw is below ``keep``."""
+    return [rec for rec in records if not draw() < keep]
+
+
 def sample_improved_forest(graph: UpgradableGraph, choices: dict[int, int],
                            eps_prime: Fraction, rng: random.Random) -> TreeSolution:
     """Independently revert each improved edge to level 0 with prob 1 - 1/(1+eps')^2.
 
     The tree topology is unchanged (levels are parallel copies of the same
-    edge); totals are computed against `graph`.
+    edge); totals are computed against `graph`.  Draws one ``rng.random()``
+    per improved edge in ascending edge id, as each ``imst_solve`` trial does.
     """
-    p, q = eps_prime.as_integer_ratio()
-    keep = q * q / ((p + q) * (p + q))  # 1/(1+p/q)^2, one correctly rounded division
-    sampled = {}
-    for eid, lvl in sorted(choices.items()):
-        if lvl > 0 and not rng.random() < keep:
-            lvl = 0
-        sampled[eid] = lvl
+    sampled = dict(sorted(choices.items()))
+    upgraded = [eid for eid, lvl in sampled.items() if lvl > 0]
+    for eid in _reverted(upgraded, _keep_probability(eps_prime), rng.random):
+        sampled[eid] = 0
     return solution_from_choices(graph, sampled)
 
 
@@ -159,18 +173,28 @@ def minimize_transform(graph: UpgradableGraph, big_m: int | None = None) -> Upgr
 
 def _plan(graph: UpgradableGraph, budget: int, eps_prime: Fraction,
           minimize: bool) -> tuple:
-    """(relaxed choices, their length, their spend, fallback edge ids), the
-    part of a solve that no master seed changes; memoized on the graph."""
+    """(relaxed choices, their length, their spend, upgrade losses, fallback
+    edge ids), the part of a solve that no master seed changes; memoized on
+    the graph.  The losses hold (edge id, length lost, spend lost) for each
+    upgraded edge of the relaxed tree, in ascending edge id: what a trial
+    loses when it reverts that edge to level 0."""
     key = ("imst_plan", budget, eps_prime, minimize)
     memo = _memo(graph)
-    if key not in memo:
+    plan = memo.get(key)
+    if plan is None:
         work = minimize_transform(graph) if minimize else graph
         mg = expand_to_multigraph(work)
         choices = choices_from_copies(mg, two_cost_mst(mg, budget, eps_prime).copy_ids)
         relaxed = solution_from_choices(graph, choices)
-        memo[key] = (tuple(choices.items()), relaxed.total_length,
-                     relaxed.total_spend, base_tree(work))
-    return memo[key]
+        losses = []
+        for eid, lvl in sorted(choices.items()):
+            if lvl > 0:
+                ladder = graph.edges[eid].ladder
+                losses.append((eid, ladder[lvl].length - ladder[0].length,
+                               ladder[lvl].cost - ladder[0].cost))
+        plan = memo[key] = (tuple(choices.items()), relaxed.total_length,
+                            relaxed.total_spend, tuple(losses), base_tree(work))
+    return plan
 
 
 def imst_solve(graph: UpgradableGraph, budget: int, config: RandomizedConfig,
@@ -187,26 +211,40 @@ def imst_solve(graph: UpgradableGraph, budget: int, config: RandomizedConfig,
         raise DisconnectedGraphError("no budget-feasible spanning tree exists")
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
 
-    relaxed, length, spend, fallback = _plan(graph, budget, config.epsilon_prime, minimize)
-    pipeline_sol = TreeSolution(dict(relaxed), length, spend)
+    eps_prime = config.epsilon_prime
+    relaxed, length, spend, losses, fallback = _plan(graph, budget, eps_prime, minimize)
+    keep = _keep_probability(eps_prime)
+    relaxed_fits = spend <= budget
+    master_seed = config.master_seed
 
-    best: TreeSolution | None = None
+    # the best tree so far as (length, spend, reverted losses); the relaxed
+    # tree is the one that reverts nothing
+    best = None
     best_trial: int | None = None
     trials: list[TrialSummary] = []
     for i in range(config.num_trials):
-        seed = splitmix64((config.master_seed ^ i) & MASK64)
-        rng = random.Random(seed)
-        sampled = sample_improved_forest(graph, pipeline_sol.choices,
-                                         config.epsilon_prime, rng)
-        feasible = sampled.total_spend <= budget
-        trials.append(TrialSummary(i, seed, sampled.total_length,
-                                   sampled.total_spend, feasible))
-        for cand in (sampled, pipeline_sol):
-            if cand.total_spend <= budget and (
-                    best is None or better(cand.total_length, best.total_length)):
-                best = cand
-                best_trial = i
+        seed = splitmix64((master_seed ^ i) & MASK64)
+        # one generator per solve, reseeded per trial: reseeding gives the
+        # stream of a fresh random.Random(seed) without building one
+        if i:
+            rng.seed(seed)
+        else:
+            rng = random.Random(seed)
+        reverted = _reverted(losses, keep, rng.random)
+        trial_length, trial_spend = length, spend
+        for _, lost_length, lost_spend in reverted:
+            trial_length -= lost_length
+            trial_spend -= lost_spend
+        feasible = trial_spend <= budget
+        trials.append(TrialSummary(i, seed, trial_length, trial_spend, feasible))
+        if feasible and (best is None or better(trial_length, best[0])):
+            best, best_trial = (trial_length, trial_spend, reverted), i
+        if relaxed_fits and (best is None or better(length, best[0])):
+            best, best_trial = (length, spend, ()), i
     if best is None:
-        best = solution_from_choices(graph, dict.fromkeys(fallback, 0))
-        best_trial = None
-    return ImstResult(best, trials, best_trial)
+        return ImstResult(solution_from_choices(graph, dict.fromkeys(fallback, 0)), trials)
+    best_length, best_spend, reverted = best
+    choices = dict(relaxed)
+    for eid, _, _ in reverted:
+        choices[eid] = 0
+    return ImstResult(TreeSolution(choices, best_length, best_spend), trials, best_trial)

@@ -360,7 +360,7 @@ def expand_to_multigraph(graph: UpgradableGraph) -> MultiGraph:
 def solution_from_choices(graph: UpgradableGraph, choices: dict[int, int]) -> TreeSolution:
     """Build a TreeSolution, computing totals from the graph's ladders."""
     ladders = _memo(graph).get("ladders")
-    if ladders is None:  # read once per sampled trial: plain tuples read faster than records
+    if ladders is None:  # read on every tree solve: plain tuples read faster than records
         ladders = _memo(graph)["ladders"] = [tuple(map(tuple, e.ladder)) for e in graph.edges]
     length = spend = 0
     for eid, lvl in choices.items():

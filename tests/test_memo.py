@@ -214,16 +214,16 @@ def reference_imst_solve(graph, budget, config, minimize=False):
     return ImstResult(best, trials, best_trial)
 
 
-def ladder_graph(rng: random.Random, minimize: bool) -> UpgradableGraph:
-    """A random graph whose edges have 2-4 level ladders, lengths falling
-    along the ladder when ``minimize``."""
+def ladder_graph(rng: random.Random, minimize: bool, min_levels: int = 2) -> UpgradableGraph:
+    """A random graph whose edges have min_levels-4 level ladders, lengths
+    falling along the ladder when ``minimize``."""
     n = rng.randint(3, 8)
     m = rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n))
     up = generate.gen_random_graph(n, m, max_len=rng.choice((6, 30)), max_cost=5,
                                    levels=4, seed=rng.randrange(1 << 30))
     edges = []
     for e in up.edges:
-        ladder = e.ladder[:rng.randint(2, 4)]
+        ladder = e.ladder[:rng.randint(min_levels, 4)]
         if minimize:
             ladder = tuple(ImprovementLevel(lv.length, lc.cost)
                            for lv, lc in zip(reversed(ladder), ladder))
@@ -257,6 +257,83 @@ def test_returned_trees_do_not_share_the_plan():
     first = imst_solve(g, 7, config).solution
     first.choices.clear()
     assert imst_solve(g, 7, config).solution == reference_imst_solve(g, 7, config).solution
+
+
+def relaxed_choices(graph, budget, config, minimize):
+    """The relaxed tree's edge -> level choices, as the reference computes them."""
+    work = minimize_transform(graph) if minimize else graph
+    mg = expand_to_multigraph(shift_lengths(work, math.ceil(config.scale_threshold), work.n))
+    return choices_from_copies(mg, two_cost_mst(mg, budget, config.epsilon_prime).copy_ids)
+
+
+def upgrade_heavy_cases(seed: int, graphs: int):
+    """(graph, budget, config, minimize, relaxed choices) on 3-4 level
+    ladders with budgets up to the full ladder cost, so most tree edges of
+    the relaxed tree upgrade and most trials revert some of them."""
+    rng = random.Random(seed)
+    for _ in range(graphs):
+        minimize = rng.random() < 0.5
+        g = ladder_graph(rng, minimize, min_levels=3)
+        total = sum(e.ladder[-1].cost for e in g.edges)
+        budget = rng.randint(total // 8, total)
+        eps = rng.choice((Fraction(3, 10), Fraction(1, 2)))
+        config = RandomizedConfig(eps, Fraction(1, 5))
+        relaxed = relaxed_choices(g, budget, config, minimize)
+        for master_seed in rng.sample(range(10_000), 3):
+            config = RandomizedConfig(eps, Fraction(1, 5), master_seed,
+                                      rng.choice((None, 1, 40)))
+            yield g, budget, config, minimize, relaxed
+
+
+def test_upgrade_heavy_solves_equal_the_unmemoized_pipeline():
+    cases = upgraded = tree_edges = 0
+    winners = {"reverting trial": 0, "relaxed tree": 0, "fallback": 0}
+    for g, budget, config, minimize, relaxed in upgrade_heavy_cases(20261019, 140):
+        got = imst_solve(g, budget, config, minimize=minimize)
+        want = reference_imst_solve(g, budget, config, minimize=minimize)
+        assert (got.solution, got.trials, got.best_trial) == (
+            want.solution, want.trials, want.best_trial)
+        cases += 1
+        upgraded += sum(lvl > 0 for lvl in relaxed.values())
+        tree_edges += len(relaxed)
+        if got.best_trial is None:
+            winners["fallback"] += 1
+        elif got.solution.choices == relaxed:
+            winners["relaxed tree"] += 1
+        else:
+            winners["reverting trial"] += 1
+    assert cases >= 400 and 2 * upgraded > tree_edges
+    assert min(winners.values()) > 0, winners
+
+
+def test_every_trial_replays_through_sample_improved_forest():
+    lengthened = 0
+    for g, budget, config, minimize, relaxed in upgrade_heavy_cases(7, 40):
+        res = imst_solve(g, budget, config, minimize=minimize)
+        relaxed_length = solution_from_choices(g, relaxed).total_length
+        for summary in res.trials:
+            sampled = sample_improved_forest(g, relaxed, config.epsilon_prime,
+                                             random.Random(summary.seed))
+            assert (sampled.total_length, sampled.total_spend) == (
+                summary.length, summary.spend)
+            # on a falling ladder a reverted edge lengthens the tree
+            lengthened += minimize and summary.length > relaxed_length
+    assert lengthened > 0
+
+
+def test_a_warm_solve_builds_at_most_one_tree(monkeypatch):
+    g = generate.gen_random_graph(12, 24, levels=3, seed=11)
+    budget = sum(e.ladder[-1].cost for e in g.edges) // 2
+    eps, delta = Fraction(3, 10), Fraction(1, 5)
+    imst_solve(g, budget, RandomizedConfig(eps, delta))
+    built = []
+    real = imst_random.solution_from_choices
+    monkeypatch.setattr(imst_random, "solution_from_choices",
+                        lambda *a: built.append(a) or real(*a))
+    for seed in range(20):
+        before = len(built)
+        imst_solve(g, budget, RandomizedConfig(eps, delta, seed, 40))
+        assert len(built) - before <= 1
 
 
 # Test-local copies of two helpers no solver calls any more: the size-capped
