@@ -92,16 +92,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _tree(sol, feasible: bool = True) -> tuple:
+def _tree(sol, budget: int) -> tuple:
     edges = [{"id": eid, "level": lvl} for eid, lvl in sorted(sol.choices.items())]
-    return sol.total_length, sol.total_spend, edges, feasible
+    return sol.total_length, sol.total_spend, edges, sol.total_spend <= budget
 
 
 def _on_multigraph(graph, budget: int, copy_ids) -> tuple:
     """Tree entry for a solver that picks ``copy_ids(multigraph)`` of the expanded graph."""
     mg = expand_to_multigraph(graph)
     sol = solution_from_choices(graph, choices_from_copies(mg, copy_ids(mg)))
-    return _tree(sol, sol.total_spend <= budget)
+    return _tree(sol, budget)
 
 
 def _imst(graph, budget: int, opts) -> tuple:
@@ -109,7 +109,7 @@ def _imst(graph, budget: int, opts) -> tuple:
         epsilon=_given(opts.epsilon, Fraction(3, 10)), delta=_given(opts.delta, Fraction(1, 5)),
         master_seed=opts.seed, trials=opts.trials)
     return _tree(imst_random.imst_solve(graph, budget, config,
-                                        minimize=opts.minimize).solution)
+                                        minimize=opts.minimize).solution, budget)
 
 
 def _improvement_cap(dag, budget: int) -> int:
@@ -132,11 +132,11 @@ class UsageError(RuntimeError):
 # through their modules at call time, so a module attribute rebound later
 # (a wrapper, a mock) is the one that runs.
 TREE_ALGOS = {
-    "uimst": lambda g, b, o: _tree(mst_uniform.uimst_half_approx(g, o.k or 0)),
+    "uimst": lambda g, b, o: _tree(mst_uniform.uimst_half_approx(g, o.k or 0), b),
     "twocost": lambda g, b, o: _on_multigraph(
         g, b, lambda mg: two_cost.two_cost_mst(mg, b, _given(o.epsilon, Fraction(1, 2))).copy_ids),
     "imst": _imst,
-    "exact-imst": lambda g, b, o: _tree(oracle.exact_imst(g, b)[1]),
+    "exact-imst": lambda g, b, o: _tree(oracle.exact_imst(g, b)[1], b),
     "exact-twocost": lambda g, b, o: _on_multigraph(
         g, b, lambda mg: oracle.exact_two_cost(mg, b)[2]),
 }

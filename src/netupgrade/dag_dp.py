@@ -16,8 +16,10 @@ differ only in the table and the budget they pass:
   unit K; spend is exact and the reported length is within (1 -/+ eps) of
   the optimum.
 
-Frontier entries keep parent pointers, so every solver returns a fully
-reconstructed path, totalled by ``instances.evaluate_path``.
+A vertex collects its candidates in a row by spend, a list or a dict,
+whichever is short for them.  No parent pointers are kept: each step of the
+answer's path is recovered from the rows alone, and every solver returns the
+path totalled by ``instances.evaluate_path``.
 """
 
 from __future__ import annotations
@@ -54,6 +56,13 @@ def _require(dag: DagInstance, budget: int, minimize: bool, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative")
 
 
+def _length_at(row, s: int):
+    """A vertex row's best length at spend s, INF where it holds none."""
+    if type(row) is dict:
+        return row.get(s, INF)
+    return row[s] if 0 <= s < len(row) else INF
+
+
 def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, weights):
     """Edge ids and improvement flags of the best source-sink path whose
     upgrades fit the budget, each edge read as
@@ -62,54 +71,95 @@ def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, weights):
     pairs[v] lists the non-dominated (length, spend) pairs of v->sink paths
     by rising spend: a pair survives when every cheaper one has a worse
     length.  Lengths are negated when maximizing, so lower is better.
-    via[v] maps a spend to the (edge id, improved) step of its best length.
-    Among equal lengths and spends the earliest candidate wins, in out-edge
-    order with base before improved, which fixes the path among equal optima.
+    rows[v] holds v's best candidate length per spend: each out-edge extends
+    every pair of its head at base length and, within the budget, improved
+    at its price.  The row is a list indexed by spend 0..top, where top =
+    min(budget, largest head spend + price), when top + 1 is at most twice
+    the head pairs read; otherwise it is a dict.  So a row costs at most a
+    constant times its candidates, whatever the budget.
+
+    The path is rebuilt from the source's best length at its smallest spend.
+    Each step takes the first out-edge, in out-edge order with base before
+    improved, whose head row holds the rest of the length at the rest of the
+    spend: the first candidate that reached that pair, which fixes the path
+    among equal optima.  A row entry dominated by a cheaper spend never
+    matches a kept pair: the cheaper entry feeds a cheaper spend along the
+    same edge at no worse length, and a kept pair lies strictly below every
+    cheaper spend's length.
     """
     sign = 1 if minimize else -1
     out: dict[int, list[DagEdge]] = {}
     for e in st_edges(dag):
         out.setdefault(e.tail, []).append(e)
     pairs = {dag.sink: [(0, 0)]}
-    via: dict[int, dict] = {}
+    rows: dict[int, list | dict] = {dag.sink: [0]}
     for v in reversed(dag.topological_order()):
-        if v not in out:
+        edges = out.get(v)
+        if edges is None:
             continue
-        length: dict[int, int] = {}
-        how = via[v] = {}
-        best = length.get
-        for e in out[v]:
-            down, eid = pairs[e.head], e.id
-            base, improved, price = weights[eid]
-            step = sign * base
-            for w, s in down:
-                w += step
-                if w < best(s, INF):
-                    length[s] = w
-                    how[s] = (eid, False)
-            step, room = sign * improved, budget - price
-            for w, s in down:
-                if s > room:
-                    break
-                w += step
-                s += price
-                if w < best(s, INF):
-                    length[s] = w
-                    how[s] = (eid, True)
+        top = reads = 0
+        for e in edges:
+            down = pairs[e.head]
+            reads += len(down)
+            t = down[-1][1] + weights[e.id][2]
+            if t > top:
+                top = t
+        if top > budget:
+            top = budget
+        if top < 2 * reads:
+            row = [INF] * (top + 1)
+            for e in edges:
+                base, improved, price = weights[e.id]
+                step, lift = sign * base, sign * improved
+                for w, s in pairs[e.head]:
+                    x = w + step
+                    if x < row[s]:
+                        row[s] = x
+                    s += price
+                    if s <= top:
+                        x = w + lift
+                        if x < row[s]:
+                            row[s] = x
+            entries = enumerate(row)
+        else:
+            row = {}
+            best = row.get
+            for e in edges:
+                base, improved, price = weights[e.id]
+                step, lift = sign * base, sign * improved
+                for w, s in pairs[e.head]:
+                    x = w + step
+                    if x < best(s, INF):
+                        row[s] = x
+                    s += price
+                    if s <= budget:
+                        x = w + lift
+                        if x < best(s, INF):
+                            row[s] = x
+            entries = sorted(row.items())
         kept, floor = [], INF
-        for s in sorted(length):
-            if length[s] < floor:
-                floor = length[s]
-                kept.append((floor, s))
-        pairs[v] = kept
-    s = pairs[dag.source][-1][1]
+        for s, w in entries:
+            if w < floor:
+                floor = w
+                kept.append((w, s))
+        rows[v], pairs[v] = row, kept
+    rest, s = pairs[dag.source][-1]
     v, edge_ids, flags = dag.source, [], []
     while v != dag.sink:
-        eid, imp = via[v][s]
-        edge_ids.append(eid)
-        flags.append(imp)
-        s -= weights[eid][2] if imp else 0
-        v = dag.edges[eid].head
+        for e in out[v]:
+            base, improved, price = weights[e.id]
+            row = rows[e.head]
+            if _length_at(row, s) == rest - sign * base:
+                rest -= sign * base
+                flags.append(False)
+                break
+            if _length_at(row, s - price) == rest - sign * improved:
+                rest -= sign * improved
+                s -= price
+                flags.append(True)
+                break
+        edge_ids.append(e.id)
+        v = e.head
     return edge_ids, flags
 
 

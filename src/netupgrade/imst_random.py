@@ -9,11 +9,11 @@ guaranteed unconditionally by trial filtering plus an all-level-0 fallback.
 With trials sized from the per-trial failure bound 2/e this satisfies
 Pr[length >= (1-eps)*OPT and spend <= B] >= 1-delta.
 
-The analysis first shifts every length (``shift_lengths`` with
-``scale_threshold``) so that its Chernoff preconditions hold.  The solver
-does not apply the shift: it maps every length x to n*x + shift, so every
-spanning tree (n - 1 edges) moves by the same amount and multiplier lambda
-becomes n*lambda.  The relaxation makes the same choices either way, and the
+The analysis first shifts every length so that its Chernoff preconditions
+hold: it maps every length x to n*x + shift, with the shift at least
+3(1+eps')^2/eps'^4.  The solver does not apply it.  Every spanning tree
+(n - 1 edges) moves by the same amount and multiplier lambda becomes
+n*lambda, so the relaxation makes the same choices either way, and the
 trials read only the unshifted graph.
 
 The relaxation depends only on (budget, eps', minimize), so it is kept in the
@@ -77,12 +77,6 @@ class RandomizedConfig:
         return self.epsilon / 2
 
     @property
-    def scale_threshold(self) -> Fraction:
-        """Minimum optimum length the additive shift has to guarantee."""
-        ep = self.epsilon_prime
-        return 3 * (1 + ep) ** 2 / ep ** 4
-
-    @property
     def num_trials(self) -> int:
         if self.trials is not None:
             return self.trials
@@ -112,19 +106,6 @@ def _map_lengths(graph: UpgradableGraph, f) -> UpgradableGraph:
         UpgradableEdge(e.id, e.u, e.v, tuple(
             ImprovementLevel(f(lvl.length), lvl.cost) for lvl in e.ladder))
         for e in graph.edges))
-
-
-def shift_lengths(graph: UpgradableGraph, shift: int, n_scale: int) -> UpgradableGraph:
-    """Rescale every level length to length*n_scale + shift.
-
-    With n_scale = n this adds shift/n length units to every edge while
-    keeping lengths integral; every spanning tree moves by the same amount,
-    so the set of optimal solutions is unchanged.  Objectives are always
-    reported in unshifted units.
-    """
-    if shift < 0 or n_scale < 1:
-        raise ValueError("bad shift parameters")
-    return _map_lengths(graph, lambda x: x * n_scale + shift)
 
 
 def _keep_probability(eps_prime: Fraction) -> float:

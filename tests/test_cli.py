@@ -133,6 +133,18 @@ def test_negative_budget_is_infeasible_for_every_budgeted_tree_algo(algo, tmp_pa
     assert err.startswith("infeasible: ") and err.count("\n") == 1
 
 
+def test_uimst_reports_a_spend_over_budget_as_infeasible(tmp_path, capsys):
+    # uimst caps the upgrade count, not the spend: the budget only grades it
+    path = tmp_path / "g5.json"
+    assert run(capsys, "gen", "--kind", "imst", "--n", "5", "--m", "7", "--seed", "1",
+               "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "solve", "--algo", "uimst", "--k", "4", "--budget", "0",
+                       "--no-timing", "--in", str(path))
+    doc = json.loads(out)
+    assert code == 0 and doc["spend"] > 0
+    assert '"feasible":false' in out
+
+
 def test_verify_emits_csv(capsys):
     code, out, _ = run(capsys, "verify", "--algo", "twocost", "--count", "2",
                        "--size", "5", "--seed", "11")

@@ -1,10 +1,12 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netupgrade import generate
+from netupgrade import dag_dp, generate
 from netupgrade.dag_dp import (
     wildag_budget_exact,
     wildag_fptas,
@@ -13,7 +15,7 @@ from netupgrade.dag_dp import (
     wisdag_fptas,
     wisdag_uniform,
 )
-from netupgrade.instances import DagEdge, DagInstance, evaluate_path
+from netupgrade.instances import DagEdge, DagInstance, evaluate_path, st_edges
 from netupgrade.oracle import exact_wildag, exact_wisdag
 
 
@@ -180,3 +182,128 @@ def test_fptas_eps_range_checked():
         wildag_fptas(dag, 3, 0)
     with pytest.raises(ValueError):
         wildag_fptas(dag, 3, 1)
+
+
+# ------------------------------------------- the frontier DP against a reference
+
+INF = float("inf")
+
+
+def reference_frontier_dp(dag, budget, minimize, weights):
+    """The frontier DP before spend-indexed rows: a dict row per vertex, and
+    the (edge id, improved) step of each spend's best length recorded as its
+    candidate is made, so the path is read back from those records."""
+    sign = 1 if minimize else -1
+    out = {}
+    for e in st_edges(dag):
+        out.setdefault(e.tail, []).append(e)
+    pairs = {dag.sink: [(0, 0)]}
+    via = {}
+    for v in reversed(dag.topological_order()):
+        if v not in out:
+            continue
+        length = {}
+        how = via[v] = {}
+        best = length.get
+        for e in out[v]:
+            down, eid = pairs[e.head], e.id
+            base, improved, price = weights[eid]
+            step = sign * base
+            for w, s in down:
+                w += step
+                if w < best(s, INF):
+                    length[s] = w
+                    how[s] = (eid, False)
+            step, room = sign * improved, budget - price
+            for w, s in down:
+                if s > room:
+                    break
+                w += step
+                s += price
+                if w < best(s, INF):
+                    length[s] = w
+                    how[s] = (eid, True)
+        kept, floor = [], INF
+        for s in sorted(length):
+            if length[s] < floor:
+                floor = length[s]
+                kept.append((floor, s))
+        pairs[v] = kept
+    s = pairs[dag.source][-1][1]
+    v, edge_ids, flags = dag.source, [], []
+    while v != dag.sink:
+        eid, imp = via[v][s]
+        edge_ids.append(eid)
+        flags.append(imp)
+        s -= weights[eid][2] if imp else 0
+        v = dag.edges[eid].head
+    return edge_ids, flags
+
+
+def frontier_case(seed, n, density, max_len, max_cost, budget_kind, minimize, table, unit):
+    """(dag, budget, weights) as one solver would pass them to the DP: the
+    budget or FPTAS table of a random DAG (lengths scaled by ``unit``), the
+    uniform one at unit prices, or the free-upgrade one at budget 0."""
+    m = min(n * (n - 1) // 2, density * n)
+    dag = generate.gen_random_dag(n, m, max_len=max_len, max_cost=max_cost, seed=seed)
+    if minimize:
+        dag = flip(dag)
+    budget = {"zero": 0, "small": 3 * max_cost // 2, "total": sum(e.cost for e in dag.edges),
+              "huge": 10**12}[budget_kind]
+    if table == "uniform":
+        return dag, min(budget, n - 1), [(e.base, e.improved, 1) for e in dag.edges]
+    if table == "free":
+        return dag, 0, [(e.base, e.improved, 0 if e.cost <= budget else 1) for e in dag.edges]
+    k = unit if table == "fptas" else 1
+
+    def scale(x):
+        return -(-x // k) if minimize else x // k
+
+    return dag, budget, [(scale(e.base), scale(e.improved), e.cost) for e in dag.edges]
+
+
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 40), density=st.integers(1, 4),
+       max_len=st.sampled_from([10, 1000, 10**7]), max_cost=st.sampled_from([10, 10**7]),
+       budget_kind=st.sampled_from(["zero", "small", "total", "huge"]),
+       minimize=st.booleans(), table=st.sampled_from(["budget", "uniform", "fptas", "free"]),
+       unit=st.integers(2, 300))
+@settings(max_examples=150, deadline=None)
+def test_frontier_dp_matches_the_dict_row_reference(seed, n, density, max_len, max_cost,
+                                                    budget_kind, minimize, table, unit):
+    dag, budget, weights = frontier_case(seed, n, density, max_len, max_cost,
+                                         budget_kind, minimize, table, unit)
+    want = reference_frontier_dp(dag, budget, minimize, weights)
+    assert dag_dp._frontier_dp(dag, budget, minimize, weights) == want
+
+
+def test_both_row_kinds_run_and_list_rows_stay_within_twice_their_reads(monkeypatch):
+    """Costs up to 10 keep spend-indexed rows short enough to be lists; costs
+    up to 10**7 spread spends so that rows fall back to dicts.  The DP's
+    rows, frontiers and out-edges are read from its frame at the first row
+    lookup of the path's recovery, when every row is filled."""
+    frames = []
+    real = dag_dp._length_at
+
+    def spy(row, s):
+        frames.append(sys._getframe(1).f_locals)
+        return real(row, s)
+
+    monkeypatch.setattr(dag_dp, "_length_at", spy)
+    rng = random.Random(16)
+    kinds = {list: 0, dict: 0}
+    for i in range(80):
+        minimize = rng.random() < 0.5
+        dag, budget, weights = frontier_case(
+            rng.randrange(10**6), rng.randint(10, 40), rng.randint(1, 4), 1000,
+            (10, 10**7)[i % 2], rng.choice(["small", "total", "huge"]), minimize, "budget", 1)
+        frames.clear()
+        got = dag_dp._frontier_dp(dag, budget, minimize, weights)
+        assert got == reference_frontier_dp(dag, budget, minimize, weights)
+        rows, pairs, out = (frames[0][name] for name in ("rows", "pairs", "out"))
+        for v, row in rows.items():
+            if v == dag.sink:
+                continue
+            kinds[type(row)] += 1
+            if type(row) is list:
+                assert len(row) <= 2 * sum(len(pairs[e.head]) for e in out[v])
+    assert kinds[list] > 100 and kinds[dict] > 100, kinds

@@ -141,3 +141,20 @@ def test_long_chain_with_huge_lengths_solves():
     sol = wisdag_budget_exact(flip(chain), 5)
     assert sol.total_length == (n - 1) * 10**6 + sum(range(n - 1)) - sum(range(n - 6, n - 1))
     assert sol.total_spend == 5
+
+
+def test_long_chain_with_huge_costs_solves():
+    # a row indexed by every spend up to the budget would need 5e9 slots;
+    # only five upgrades fit, and the cheapest five of the largest gain win
+    n = 2000
+    edges = tuple(DagEdge(i, i, i + 1, 10, 11 + i % 7, 10**9 + i) for i in range(n - 1))
+    chain = DagInstance(n, edges, 0, n - 1)
+    budget = 5 * 10**9 + 10**6
+    upgraded = [6, 13, 20, 27, 34]
+    sol = wildag_budget_exact(chain, budget)
+    assert (sol.total_length, sol.total_spend) == (20025, 5_000_000_100)
+    assert [i for i, f in zip(sol.edge_ids, sol.improved) if f] == upgraded
+    sol = wisdag_budget_exact(flip(chain), budget)
+    assert sol.total_length == sum(11 + i % 7 for i in range(n - 1)) - 35
+    assert sol.total_spend == 5_000_000_100
+    assert [i for i, f in zip(sol.edge_ids, sol.improved) if f] == upgraded

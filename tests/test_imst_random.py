@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from netupgrade import generate
 from netupgrade.imst_random import (
     RandomizedConfig,
+    _map_lengths,
     imst_solve,
     minimize_transform,
     sample_improved_forest,
-    shift_lengths,
 )
 from netupgrade.instances import (
     ImprovementLevel,
@@ -26,11 +26,16 @@ def cfg(eps="3/10", delta="1/5", seed=0, trials=None):
     return RandomizedConfig(Fraction(eps), Fraction(delta), seed, trials)
 
 
+def shift_lengths(graph, shift, n_scale):
+    """The analysis' length shift, which the solver never applies: every
+    level length x as x * n_scale + shift."""
+    return _map_lengths(graph, lambda x: x * n_scale + shift)
+
+
 def test_config_derived_quantities():
     c = cfg(eps="1/2")
     ep = Fraction(1, 4)
     assert c.epsilon_prime == ep
-    assert c.scale_threshold == 3 * (1 + ep) ** 2 / ep ** 4
     # failure per trial is 2/e, so t = ceil(ln(1/delta) / ln(e/2))
     want = math.ceil(math.log(5) / math.log(math.e / 2))
     assert cfg(delta="1/5").num_trials == want

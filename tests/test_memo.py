@@ -19,10 +19,10 @@ from netupgrade.imst_random import (
     ImstResult,
     RandomizedConfig,
     TrialSummary,
+    _map_lengths,
     imst_solve,
     minimize_transform,
     sample_improved_forest,
-    shift_lengths,
 )
 from netupgrade.instances import (
     DagEdge,
@@ -184,6 +184,14 @@ def test_solution_totals_read_from_the_kept_ladders():
 
 # ------------------------------------- equivalence with the unmemoized pipeline
 
+def analysis_shift(graph, config):
+    """The length shift of the analysis, which the solver skips: every
+    length x as n*x + ceil(3(1+eps')^2/eps'^4)."""
+    ep = config.epsilon_prime
+    shift = math.ceil(3 * (1 + ep) ** 2 / ep ** 4)
+    return _map_lengths(graph, lambda x: x * graph.n + shift)
+
+
 def reference_imst_solve(graph, budget, config, minimize=False):
     """The solver before its relaxation was memoized: validate, shift,
     expand and relax on every call."""
@@ -191,7 +199,7 @@ def reference_imst_solve(graph, budget, config, minimize=False):
     assert budget >= 0
     work = minimize_transform(graph) if minimize else graph
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
-    shifted = shift_lengths(work, math.ceil(config.scale_threshold), work.n)
+    shifted = analysis_shift(work, config)
     mg = expand_to_multigraph(shifted)
     choices = choices_from_copies(mg, two_cost_mst(mg, budget, config.epsilon_prime).copy_ids)
     pipeline_sol = solution_from_choices(graph, choices)
@@ -262,7 +270,7 @@ def test_returned_trees_do_not_share_the_plan():
 def relaxed_choices(graph, budget, config, minimize):
     """The relaxed tree's edge -> level choices, as the reference computes them."""
     work = minimize_transform(graph) if minimize else graph
-    mg = expand_to_multigraph(shift_lengths(work, math.ceil(config.scale_threshold), work.n))
+    mg = expand_to_multigraph(analysis_shift(work, config))
     return choices_from_copies(mg, two_cost_mst(mg, budget, config.epsilon_prime).copy_ids)
 
 
