@@ -1,6 +1,9 @@
-"""Small shared helpers: union-find, Kruskal, seed mixing, instance hashing."""
+"""Small shared helpers: union-find, Kruskal, seed mixing, instance hashing,
+rational parameters."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 MASK64 = (1 << 64) - 1
 
@@ -12,6 +15,12 @@ def splitmix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
+
+
+def as_fraction(x) -> Fraction:
+    """x as an exact rational; a float is read as the decimal it prints as
+    (0.3 is 3/10, not its binary value), so every solver reads eps alike."""
+    return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
 
 
 def fnv1a64(data: bytes) -> int:

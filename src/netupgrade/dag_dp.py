@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ._util import as_fraction
 from .instances import (
     DagEdge,
     DagInstance,
@@ -39,10 +40,6 @@ from .instances import (
 from .instances import reachable_from, reaching_to  # noqa: F401
 
 INF = math.inf
-
-
-def _as_fraction(eps) -> Fraction:
-    return Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
 
 
 def _path(dag: DagInstance, edge_ids, improved) -> PathSolution:
@@ -223,7 +220,7 @@ def wildag_fptas(dag: DagInstance, budget: int, eps) -> PathSolution:
     within eps*OPT.  Costs are never scaled, so spend <= budget exactly; the
     returned totals are exact original units.
     """
-    eps = _as_fraction(eps)
+    eps = as_fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     _require(dag, budget, False, "budget")
@@ -236,7 +233,7 @@ def wisdag_fptas(dag: DagInstance, budget: int, eps) -> PathSolution:
     The scaling unit comes from the all-improvements-free shortest path, a
     lower bound on the optimum, so the ceiling loss stays within eps*OPT.
     """
-    eps = _as_fraction(eps)
+    eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     _require(dag, budget, True, "budget")

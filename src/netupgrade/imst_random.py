@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._util import MASK64, splitmix64
+from ._util import MASK64, as_fraction, splitmix64
 from .instances import (
     DisconnectedGraphError,
     ImprovementLevel,
@@ -63,8 +63,8 @@ class RandomizedConfig:
     trials: int | None = None  # default: sized from PER_TRIAL_FAILURE
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        object.__setattr__(self, "delta", Fraction(self.delta))
+        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
+        object.__setattr__(self, "delta", as_fraction(self.delta))
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
         if not 0 < self.delta < 1:
@@ -135,20 +135,15 @@ def sample_improved_forest(graph: UpgradableGraph, choices: dict[int, int],
     return solution_from_choices(graph, sampled)
 
 
-def minimize_transform(graph: UpgradableGraph, big_m: int | None = None) -> UpgradableGraph:
-    """Replace every level length x by M - x.
+def minimize_transform(graph: UpgradableGraph) -> UpgradableGraph:
+    """Replace every level length x by M - x, M the largest level length.
 
     Maps min-instances (ladders with nonincreasing lengths, level 0 the worst
-    value at cost 0) to max-instances and back; applying the transform twice
-    with the same M is the identity.  Raises InvalidInstanceError on a graph
+    value at cost 0) to max-instances.  Raises InvalidInstanceError on a graph
     that fails validation, a non-monotone ladder among others.
     """
     require_valid(graph)
-    lengths_all = [lvl.length for e in graph.edges for lvl in e.ladder]
-    if big_m is None:
-        big_m = max(lengths_all, default=0)
-    if any(x > big_m for x in lengths_all):
-        raise ValueError("M is smaller than some level length")
+    big_m = max((lvl.length for e in graph.edges for lvl in e.ladder), default=0)
     return _map_lengths(graph, lambda x: big_m - x)
 
 

@@ -36,9 +36,10 @@ from .instances import (
     DagEdge,
     DagInstance,
     ImprovementLevel,
+    InvalidInstanceError,
     UpgradableEdge,
     UpgradableGraph,
-    _memo,
+    require_valid,
     validate,
 )
 
@@ -149,11 +150,13 @@ def parse(data: bytes | str) -> Problem:
 
 
 def _require_valid(instance, improvement: str) -> None:
-    if validate(instance, improvement=improvement):
+    # a pass is remembered, so the solver's require_valid in the same
+    # direction then passes at once
+    try:
+        require_valid(instance, improvement=improvement)
+    except InvalidInstanceError:
         # errors are reported against the longest-path rules in either case
-        raise FormatError("invalid instance: " + "; ".join(validate(instance)), "$")
-    # the solver's require_valid in the same direction then passes at once
-    _memo(instance)["valid", improvement] = True
+        raise FormatError("invalid instance: " + "; ".join(validate(instance)), "$") from None
 
 
 def serialize(problem: Problem) -> bytes:

@@ -16,22 +16,24 @@ nonnegative.  The scheme:
    length.  The pass over F_0 decides a disconnected residual, the early
    abort and an exact hit; only a forest whose tree there is over budget
    builds its residual.
-2. On that residual, find the Lagrangian multiplier of the budget
-   constraint by a chord (Newton) search on the piecewise-linear dual over
-   exact rationals.  Either the unconstrained optimum is feasible, or two
-   optimal trees bracket the budget at the same multiplier.  The tree a
-   forest S yields costs at most B_S + c_max, where B_S = B - c(S) and c_max
-   is the largest residual cost: it is the exact hit or the first tree of
-   step 3 past B_S.  Every residual tree T' that cheap satisfies
+2. On that residual, whose tree at multiplier 0 is over budget, find the
+   Lagrangian multiplier of the budget constraint by a chord (Newton) search
+   on the piecewise-linear dual over exact rationals, started from that tree
+   and the tree on F_inf.  It ends at two trees, optimal at the same
+   multiplier, that bracket the budget.  The tree a forest S yields costs at
+   most B_S + c_max, where B_S = B - c(S) and c_max is the largest residual
+   cost: it is the exact hit or the first tree of step 3 past B_S.  Every
+   residual tree T' that cheap satisfies
    l(T') <= l(T_lam) - lam*(c(T_lam) - B_S - c_max) at each multiplier
    lam >= 0, since T_lam maximizes l - lam*c.  The search for S ends as soon
    as l(S) plus this bound at a chord iterate (at lam = 0: the longest
    residual tree) is strictly below the longest tree found so far; a forest
    that could tie still reaches the copy-id tie-break.
-3. Walk a chain of single edge exchanges between the bracketing trees; every
-   intermediate tree is Lagrangian-optimal, so the first tree whose cost
-   exceeds the residual budget has length >= OPT while overshooting the
-   budget by at most one cheap copy, i.e. at most eps*B.
+3. Walk a chain of single edge exchanges from the under-budget tree toward
+   the over-budget one, stopping at the first tree whose cost exceeds the
+   residual budget.  Every tree on the chain is Lagrangian-optimal, so that
+   last tree has length >= OPT while overshooting the budget by at most one
+   cheap copy, i.e. at most eps*B.
 
 All multiplier arithmetic is exact (fractions over bounded integers), and
 the inner loops run on plain integers.  The light copies are sorted once per
@@ -49,31 +51,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._util import UnionFind, kruskal
+from ._util import UnionFind, as_fraction, kruskal
 from .instances import DisconnectedGraphError, EdgeCopy, MultiGraph
 
 
 # an edge copy as a plain tuple: (copy_id, u, v, length, cost)
 Copy = tuple[int, int, int, int, int]
-
-
-@dataclass(frozen=True)
-class LagrangianPoint:
-    """A spanning tree maximizing l(T) - lambda*c(T) at a fixed multiplier."""
-
-    multiplier: Fraction
-    copy_ids: tuple[int, ...]
-    length: int
-    cost: int
-    lagrangian_value: Fraction
-
-
-@dataclass(frozen=True)
-class LambdaSearchResult:
-    exact: LagrangianPoint | None = None
-    lam_star: Fraction | None = None
-    under: LagrangianPoint | None = None  # cost <= budget
-    over: LagrangianPoint | None = None   # cost > budget
 
 
 @dataclass(frozen=True)
@@ -83,8 +66,16 @@ class TwoCostResult:
     cost: int
 
 
-def lagrangian_tree(k: int, copies: Sequence[Copy], lam: Fraction,
-                    budget: int) -> LagrangianPoint:
+@dataclass(frozen=True)
+class LambdaSearchResult:
+    """Two trees optimal at the multiplier ``lam_star`` that bracket the budget."""
+
+    lam_star: Fraction
+    under: TwoCostResult  # cost <= budget
+    over: TwoCostResult   # cost > budget
+
+
+def lagrangian_tree(k: int, copies: Sequence[Copy], lam: Fraction) -> TwoCostResult:
     """Maximum spanning tree on k vertices under the combined weight l - lambda*c.
 
     Ties break toward lower cost, then lower copy id, so equal-weight
@@ -92,7 +83,6 @@ def lagrangian_tree(k: int, copies: Sequence[Copy], lam: Fraction,
     order: ``copies`` must list equal-weight copies by (cost, copy id), as a
     list sorted by (cost, copy id) does at every multiplier.
     """
-    lam = Fraction(lam)
     # p*c - q*l orders copies as lambda*c - l does, in exact integers; the
     # stable sort keeps the input's (cost, id) order among equal keys
     p, q = lam.numerator, lam.denominator
@@ -105,38 +95,30 @@ def lagrangian_tree(k: int, copies: Sequence[Copy], lam: Fraction,
     for c in chosen:
         length += c[3]
         cost += c[4]
-    value = Fraction(q * length - p * (cost - budget), q)
-    return LagrangianPoint(lam, tuple(sorted(c[0] for c in chosen)), length, cost, value)
+    return TwoCostResult(tuple(sorted(c[0] for c in chosen)), length, cost)
 
 
-def lambda_search(k: int, copies: Sequence[Copy], budget: int, need: int | None = None, *,
-                  at_zero: LagrangianPoint | None = None,
-                  cheap: Sequence[Copy] | None = None) -> LambdaSearchResult | None:
+def lambda_search(k: int, copies: Sequence[Copy], budget: int, need: int | None,
+                  at_zero: TwoCostResult, cheap: Sequence[Copy]) -> LambdaSearchResult | None:
     """Chord search for the multiplier where optimal tree cost crosses B.
 
-    Precondition: the zero-cost copies alone span the graph, so a
-    budget-feasible tree always exists.  Returns either an exact hit (the
-    unconstrained optimum fits the budget) or a bracketing pair of trees both
-    optimal at the crossing multiplier.  With ``need`` set, returns None as
-    soon as a solved tree proves that the tree this search yields is shorter
-    than ``need`` (module docstring, step 2).  ``at_zero`` is the tree at
-    multiplier 0 and ``cheap`` holds F_inf, if the caller has them.
-    ``copies`` are in (cost, copy id) order, as ``lagrangian_tree`` needs.
+    ``at_zero`` is the tree at multiplier 0, which must cost more than the
+    budget and be at least ``need`` long (None: no incumbent); ``cheap``
+    holds F_inf, or any copies whose greedy tree by (cost, -length, id) is
+    the residual's.  Raises DisconnectedGraphError unless a budget-feasible
+    tree exists.  Returns a bracketing pair of trees both optimal at the
+    crossing multiplier, or None as soon as a solved tree proves that the
+    tree this search yields is shorter than ``need`` (module docstring,
+    step 2).  ``copies`` are in (cost, copy id) order, as
+    ``lagrangian_tree`` needs.
     """
-    p_lo = lagrangian_tree(k, copies, Fraction(0), budget) if at_zero is None else at_zero
-    # the tree at multiplier 0 is the longest tree, so it bounds every tree
-    # this search can yield, over-budget ones included
-    if need is not None and p_lo.length < need:
-        return None
-    if p_lo.cost <= budget:
-        return LambdaSearchResult(exact=p_lo)
+    p_lo = at_zero
     _, _, _, lengths, costs = zip(*copies) if copies else ((),) * 5
     total_cost = sum(costs)
     # the yielded tree costs at most one copy more than the budget
     reach = budget + max(costs, default=0)
     # above the total length, the multiplier orders copies by (cost, -length, id)
-    p_hi = lagrangian_tree(k, copies if cheap is None else cheap,
-                           Fraction(sum(lengths) + 1), budget)
+    p_hi = lagrangian_tree(k, cheap, Fraction(sum(lengths) + 1))
     if p_hi.cost > budget:
         raise DisconnectedGraphError("no budget-feasible spanning tree")
     # chord (Newton) step on the piecewise-linear dual: where the lines of an over-
@@ -145,7 +127,7 @@ def lambda_search(k: int, copies: Sequence[Copy], budget: int, need: int | None 
     while True:
         lam = Fraction(p_lo.length - p_hi.length, p_lo.cost - p_hi.cost)
         p, q = lam.numerator, lam.denominator
-        under = lagrangian_tree(k, copies, lam, budget)
+        under = lagrangian_tree(k, copies, lam)
         if need is not None and q * under.length - p * (under.cost - reach) < q * need:
             return None
         # under's value minus p_hi's line at lam, times q
@@ -160,12 +142,11 @@ def lambda_search(k: int, copies: Sequence[Copy], budget: int, need: int | None 
     # breakpoints are ratios of integer differences with denominators
     # <= total_cost, so they are separated by > 1/total_cost^2; just below
     # lam the optimum is the over-budget tree left of the crossing
-    below = lagrangian_tree(k, copies, lam - Fraction(1, 2 * (total_cost + 1) ** 2), budget)
-    over_val = below.length - lam * (below.cost - budget)
-    assert below.cost > budget and over_val == under.lagrangian_value, \
+    over = lagrangian_tree(k, copies, lam - Fraction(1, 2 * (total_cost + 1) ** 2))
+    assert over.cost > budget, "no over-budget tree left of the crossing"
+    assert q * (over.length - under.length) == p * (over.cost - under.cost), \
         "bracketing trees are not both optimal at the crossing multiplier"
-    over = LagrangianPoint(lam, below.copy_ids, below.length, below.cost, over_val)
-    return LambdaSearchResult(lam_star=lam, under=under, over=over)
+    return LambdaSearchResult(lam, under, over)
 
 
 def _tree_path(copies_by_id, tree_ids, a: int, b: int) -> list[int]:
@@ -186,9 +167,11 @@ def _tree_path(copies_by_id, tree_ids, a: int, b: int) -> list[int]:
     raise ValueError("endpoints not connected inside the tree")
 
 
-def swap_chain(copies: Sequence[Copy], under: LagrangianPoint, over: LagrangianPoint,
-               lam_star: Fraction) -> list[tuple[int, ...]]:
-    """Single-exchange walk between two Lagrangian-optimal trees over ``copies``.
+def swap_chain(copies: Sequence[Copy], under: TwoCostResult, over: TwoCostResult,
+               lam_star: Fraction, budget: int) -> list[tuple[int, ...]]:
+    """Single-exchange walk from ``under`` toward ``over``, two trees over
+    ``copies`` optimal at ``lam_star`` with under.cost <= budget < over.cost,
+    up to and including the first tree that costs more than ``budget``.
 
     Each step inserts one copy of `over`, removes an equal-weight copy on the
     created cycle, and stays Lagrangian-optimal; such a swap always exists
@@ -200,14 +183,17 @@ def swap_chain(copies: Sequence[Copy], under: LagrangianPoint, over: LagrangianP
     current = set(under.copy_ids)
     target = set(over.copy_ids)
     chain = [tuple(sorted(current))]
-    while current != target:
+    cost = under.cost
+    while cost <= budget:
         for f in sorted(target - current):
             _, u, v, _l, _c = copies_by_id[f]
             cycle = _tree_path(copies_by_id, current, u, v)
             swappable = [g for g in cycle if g not in target and weight[g] == weight[f]]
             if swappable:
-                current.remove(min(swappable))
+                g = min(swappable)
+                current.remove(g)
                 current.add(f)
+                cost += copies_by_id[f][4] - copies_by_id[g][4]
                 chain.append(tuple(sorted(current)))
                 break
         else:
@@ -250,7 +236,7 @@ def two_cost_mst(mg: MultiGraph, budget: int, eps: Fraction) -> TwoCostResult:
     """Spanning tree with length >= OPT(budget) and cost <= (1+eps)*budget."""
     if budget < 0:
         raise DisconnectedGraphError("no budget-feasible spanning tree exists")
-    eps = Fraction(eps)
+    eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     copies_by_id = {c.copy_id: c for c in mg.copies}
@@ -290,21 +276,18 @@ def _solve_with_heavy_subset(light: Sequence[Copy], zero: Sequence[Copy],
         return subset_ids
     need = None if incumbent is None else incumbent - sum(c.length for c in subset)
     try:
-        at_zero = lagrangian_tree(k, _relabel(zero, labels), Fraction(0), residual_budget)
+        at_zero = lagrangian_tree(k, _relabel(zero, labels), Fraction(0))
+        # the tree at multiplier 0 is the longest tree, so it bounds every tree
+        # the search can yield, over-budget ones included
         if need is not None and at_zero.length < need:
             return None
         if at_zero.cost <= residual_budget:
             return subset_ids + at_zero.copy_ids
         res = _relabel(light, labels)
-        found = lambda_search(k, res, residual_budget, need, at_zero=at_zero,
-                              cheap=_relabel(inf, labels))
+        found = lambda_search(k, res, residual_budget, need, at_zero, _relabel(inf, labels))
     except DisconnectedGraphError:
         return None
     if found is None:
         return None
-    chain = swap_chain(res, found.under, found.over, found.lam_star)
-    by_id = {c[0]: c for c in res}
-    for ids in chain:
-        if sum(by_id[i][4] for i in ids) > residual_budget:
-            return subset_ids + ids
-    raise AssertionError("swap chain never crossed the residual budget")
+    return subset_ids + swap_chain(res, found.under, found.over, found.lam_star,
+                                   residual_budget)[-1]

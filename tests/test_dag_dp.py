@@ -15,8 +15,16 @@ from netupgrade.dag_dp import (
     wisdag_fptas,
     wisdag_uniform,
 )
-from netupgrade.instances import DagEdge, DagInstance, evaluate_path, st_edges
+from netupgrade.imst_random import RandomizedConfig
+from netupgrade.instances import (
+    DagEdge,
+    DagInstance,
+    evaluate_path,
+    expand_to_multigraph,
+    st_edges,
+)
 from netupgrade.oracle import exact_wildag, exact_wisdag
+from netupgrade.two_cost import two_cost_mst
 
 
 def flip(dag):
@@ -174,6 +182,17 @@ def test_fptas_accepts_float_eps():
     a = wildag_fptas(dag, 5, 0.25)
     b = wildag_fptas(dag, 5, Fraction(1, 4))
     assert a == b
+
+
+def test_tree_solvers_read_float_eps_as_the_fptas_does():
+    # a float is the decimal it prints as: 0.3 is 3/10, not its binary value
+    config = RandomizedConfig(0.3, 0.2)
+    assert (config.epsilon, config.delta) == (Fraction(3, 10), Fraction(1, 5))
+    for seed in range(30):
+        mg = expand_to_multigraph(generate.gen_random_graph(8, 12, max_len=20, max_cost=10,
+                                                            seed=seed))
+        for budget in (10, 20, 30):
+            assert two_cost_mst(mg, budget, 0.3) == two_cost_mst(mg, budget, Fraction(3, 10))
 
 
 def test_fptas_eps_range_checked():

@@ -83,14 +83,18 @@ def lvl(length, cost):
     return ImprovementLevel(length, cost)
 
 
-def test_minimize_transform_is_involution():
+def test_minimize_transform_maps_lengths_to_max_minus_length():
     g = UpgradableGraph(3, (
         UpgradableEdge(0, 0, 1, (lvl(9, 0), lvl(4, 2))),
         UpgradableEdge(1, 1, 2, (lvl(6, 0), lvl(1, 1))),
         UpgradableEdge(2, 0, 2, (lvl(3, 0),)),
     ))
-    m = max(l.length for e in g.edges for l in e.ladder)
-    assert minimize_transform(minimize_transform(g, m), m) == g
+    # the largest length is 9: x -> 9 - x, costs unchanged
+    assert minimize_transform(g) == UpgradableGraph(3, (
+        UpgradableEdge(0, 0, 1, (lvl(0, 0), lvl(5, 2))),
+        UpgradableEdge(1, 1, 2, (lvl(3, 0), lvl(8, 1))),
+        UpgradableEdge(2, 0, 2, (lvl(6, 0),)),
+    ))
 
 
 def test_minimize_transform_rejects_nonmonotone():

@@ -143,11 +143,11 @@ def test_invalid_decreasing_dag_error_text(edges, source_sink, message):
 
 
 def test_decreasing_dag_is_validated_once(monkeypatch):
-    from netupgrade import serialization
+    from netupgrade import instances
 
     calls = []
-    real = serialization.validate
-    monkeypatch.setattr(serialization, "validate",
+    real = instances.validate
+    monkeypatch.setattr(instances, "validate",
                         lambda *a, **k: calls.append(k) or real(*a, **k))
     doc = {"kind": "wildag", "n": 2, "budget": 1,
            "edges": [{"id": 0, "u": 0, "v": 1, "ladder": [[5, 0], [2, 1]]}],

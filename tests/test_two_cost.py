@@ -16,7 +16,6 @@ from netupgrade.instances import (
 )
 from netupgrade.oracle import exact_two_cost
 from netupgrade.two_cost import (
-    LagrangianPoint,
     LambdaSearchResult,
     TwoCostResult,
     _heavy_forests,
@@ -41,9 +40,21 @@ def _split(mg):
                         key=lambda c: (c[4], c[0]))
 
 
+def _search(k, copies, budget, need=None):
+    """``lambda_search`` entered as the solver enters it: the tree at
+    multiplier 0 answers a ``need`` it falls short of (None) and a budget it
+    fits (the tree itself); ``copies`` stand in for F_inf."""
+    at_zero = lagrangian_tree(k, copies, Fraction(0))
+    if need is not None and at_zero.length < need:
+        return None
+    if at_zero.cost <= budget:
+        return at_zero
+    return lambda_search(k, copies, budget, need, at_zero, copies)
+
+
 def test_lagrangian_tree_at_zero_is_max_length():
     mg = small_mg(1)
-    p = lagrangian_tree(*_split(mg), Fraction(0), 5)
+    p = lagrangian_tree(*_split(mg), Fraction(0))
     brute = max(
         length for length, _c, _ids in [exact_two_cost(mg, 10 ** 9)])
     assert p.length == brute
@@ -51,30 +62,32 @@ def test_lagrangian_tree_at_zero_is_max_length():
 
 def test_lagrangian_tree_rejects_negative_multiplier():
     with pytest.raises(ValueError):
-        lagrangian_tree(*_split(small_mg(1)), Fraction(-1), 5)
+        lagrangian_tree(*_split(small_mg(1)), Fraction(-1))
 
 
 def test_lambda_search_exact_when_budget_loose():
     mg = small_mg(2)
     total_cost = sum(c.cost for c in mg.copies)
-    found = lambda_search(*_split(mg), total_cost)
-    assert found.exact is not None
-    assert found.exact.cost <= total_cost
+    found = _search(*_split(mg), total_cost)
+    assert isinstance(found, TwoCostResult)
+    assert found.cost <= total_cost
 
 
 def test_lambda_search_brackets_budget():
     mg = small_mg(3)
-    found = lambda_search(*_split(mg), 2)
-    if found.exact is None:
+    found = _search(*_split(mg), 2)
+    if isinstance(found, LambdaSearchResult):
+        lam = found.lam_star
         assert found.under.cost <= 2 < found.over.cost
-        assert found.under.lagrangian_value == found.over.lagrangian_value
+        assert (found.under.length - lam * (found.under.cost - 2)
+                == found.over.length - lam * (found.over.cost - 2))
 
 
 def test_swap_chain_connects_brackets():
     mg = small_mg(0)
-    found = lambda_search(*_split(mg), 1)
-    assert found.exact is None, "seed chosen so the budget binds"
-    chain = swap_chain(_split(mg)[1], found.under, found.over, found.lam_star)
+    found = _search(*_split(mg), 1)
+    assert isinstance(found, LambdaSearchResult), "seed chosen so the budget binds"
+    chain = swap_chain(_split(mg)[1], found.under, found.over, found.lam_star, 1)
     assert chain[0] == found.under.copy_ids
     assert chain[-1] == found.over.copy_ids
     for a, b in zip(chain, chain[1:]):
@@ -136,7 +149,7 @@ def _ref_find(parent: list[int], x: int) -> int:
     return x
 
 
-def _ref_tree(mg, lam, budget):
+def _ref_tree(mg, lam):
     # p*c - q*l with lambda = p/q, read off the Fraction per copy: lambda*c - l scaled by q
     order = sorted(mg.copies, key=lambda c: (
         lam.numerator * c.cost - lam.denominator * c.length, c.cost, c.copy_id))
@@ -151,24 +164,23 @@ def _ref_tree(mg, lam, budget):
         raise DisconnectedGraphError("multigraph is not connected")
     length = sum(c.length for c in chosen)
     cost = sum(c.cost for c in chosen)
-    return LagrangianPoint(lam, tuple(sorted(c.copy_id for c in chosen)), length, cost,
-                           Fraction(length) - lam * (cost - budget))
+    return TwoCostResult(tuple(sorted(c.copy_id for c in chosen)), length, cost)
 
 
 def _ref_lambda_search(mg, budget):
-    at_zero = _ref_tree(mg, Fraction(0), budget)
+    at_zero = _ref_tree(mg, Fraction(0))
     if at_zero.cost <= budget:
-        return LambdaSearchResult(exact=at_zero)
+        return at_zero
     total_cost = sum(c.cost for c in mg.copies)
     lo, p_lo = Fraction(0), at_zero
     hi = Fraction(sum(c.length for c in mg.copies) + 1)
-    p_hi = _ref_tree(mg, hi, budget)
+    p_hi = _ref_tree(mg, hi)
     if p_hi.cost > budget:
         raise DisconnectedGraphError("no budget-feasible spanning tree")
     sep = Fraction(1, 2 * (total_cost + 1) ** 2)
     while hi - lo > sep:
         mid = (lo + hi) / 2
-        p_mid = _ref_tree(mg, mid, budget)
+        p_mid = _ref_tree(mg, mid)
         if p_mid.cost > budget:
             lo, p_lo = mid, p_mid
         else:
@@ -176,11 +188,9 @@ def _ref_lambda_search(mg, budget):
     lam = Fraction(p_lo.length - p_hi.length, p_lo.cost - p_hi.cost)
     under_val = p_hi.length - lam * (p_hi.cost - budget)
     over_val = p_lo.length - lam * (p_lo.cost - budget)
-    assert under_val == over_val == _ref_tree(mg, lam, budget).lagrangian_value
-    return LambdaSearchResult(
-        lam_star=lam,
-        under=LagrangianPoint(lam, p_hi.copy_ids, p_hi.length, p_hi.cost, under_val),
-        over=LagrangianPoint(lam, p_lo.copy_ids, p_lo.length, p_lo.cost, over_val))
+    at_lam = _ref_tree(mg, lam)
+    assert under_val == over_val == at_lam.length - lam * (at_lam.cost - budget)
+    return LambdaSearchResult(lam_star=lam, under=p_hi, over=p_lo)
 
 
 def _ref_swap_chain(mg, under, over, lam):
@@ -254,8 +264,8 @@ def _ref_two_cost_mst(mg, budget, eps):
                 found = _ref_lambda_search(res, rest)
             except DisconnectedGraphError:
                 continue
-            if found.exact is not None:
-                ids += found.exact.copy_ids
+            if isinstance(found, TwoCostResult):
+                ids += found.copy_ids
             else:
                 res_by_id = {c.copy_id: c for c in res.copies}
                 ids += next(t for t in _ref_swap_chain(res, found.under, found.over,
@@ -281,12 +291,37 @@ def test_lambda_search_matches_bisection_reference():
     binding = 0
     for _ in range(300):
         mg = _random_mg(rng, rng.randint(4, 20))
-        zero_cost = lagrangian_tree(*_split(mg), Fraction(0), 0).cost
+        zero_cost = lagrangian_tree(*_split(mg), Fraction(0)).cost
         budgets = [zero_cost, rng.randrange(zero_cost)] if zero_cost else [0]
         for budget in budgets:
-            found = lambda_search(*_split(mg), budget)
+            found = _search(*_split(mg), budget)
             assert found == _ref_lambda_search(mg, budget), (mg, budget)
-            binding += found.exact is None
+            binding += isinstance(found, LambdaSearchResult)
+    assert binding >= 250
+
+
+def test_swap_chain_stops_at_the_first_tree_over_budget():
+    # the graph of test_swap_chain_connects_brackets, then the binding budgets
+    # of the bisection corpus above
+    cases = [(small_mg(0), 1)]
+    rng = random.Random(4242)
+    for _ in range(300):
+        mg = _random_mg(rng, rng.randint(4, 20))
+        zero_cost = lagrangian_tree(*_split(mg), Fraction(0)).cost
+        budgets = [zero_cost, rng.randrange(zero_cost)] if zero_cost else [0]
+        cases += [(mg, budget) for budget in budgets]
+    binding = 0
+    for mg, budget in cases:
+        k, copies = _split(mg)
+        found = _search(k, copies, budget)
+        if not isinstance(found, LambdaSearchResult):
+            continue
+        binding += 1
+        by_id = {c.copy_id: c for c in mg.copies}
+        full = _ref_swap_chain(mg, found.under, found.over, found.lam_star)
+        stop = next(i for i, ids in enumerate(full) if sum(by_id[j].cost for j in ids) > budget)
+        assert swap_chain(copies, found.under, found.over, found.lam_star,
+                          budget) == full[:stop + 1], (mg, budget)
     assert binding >= 250
 
 
@@ -379,9 +414,9 @@ def test_dual_bound_holds_for_the_tree_a_residual_search_yields(monkeypatch):
     points = []
     solve = two_cost.lagrangian_tree
 
-    def recorded(k, copies, lam, budget):
-        points.append(solve(k, copies, lam, budget))
-        return points[-1]
+    def recorded(k, copies, lam):
+        points.append((lam, solve(k, copies, lam)))
+        return points[-1][1]
 
     monkeypatch.setattr(two_cost, "lagrangian_tree", recorded)
     rng = random.Random(31337)
@@ -390,8 +425,8 @@ def test_dual_bound_holds_for_the_tree_a_residual_search_yields(monkeypatch):
         mg = _random_mg(rng, rng.randint(3, 10))
         by_id = {c.copy_id: c for c in mg.copies}
         c_max = max(c.cost for c in mg.copies)
-        cheapest = solve(*_split(mg), Fraction(sum(c.length for c in mg.copies) + 1), 0).cost
-        longest = solve(*_split(mg), Fraction(0), 0).cost
+        cheapest = solve(*_split(mg), Fraction(sum(c.length for c in mg.copies) + 1)).cost
+        longest = solve(*_split(mg), Fraction(0)).cost
         graphs += cheapest < longest
         for budget in range(cheapest, longest):
             points.clear()
@@ -400,9 +435,9 @@ def test_dual_bound_holds_for_the_tree_a_residual_search_yields(monkeypatch):
                                            budget, None)
             length = sum(by_id[i].length for i in ids)
             assert sum(by_id[i].cost for i in ids) <= budget + c_max
-            for p in points:
-                assert p.multiplier >= 0
-                assert length <= p.length - p.multiplier * (p.cost - budget - c_max), (mg, budget)
+            for lam, p in points:
+                assert lam >= 0
+                assert length <= p.length - lam * (p.cost - budget - c_max), (mg, budget)
             chords += len(points) - 3
     assert chords >= 1000
 
@@ -414,7 +449,7 @@ def test_two_cost_mst_matches_eager_reference_where_forests_tie():
     for _ in range(150):
         mg = _random_mg(rng, rng.randint(4, 9), max_cost=rng.choice([3, 6, 12]))
         eps = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
-        budget = rng.randint(0, max(lagrangian_tree(*_split(mg), Fraction(0), 0).cost, 1))
+        budget = rng.randint(0, max(lagrangian_tree(*_split(mg), Fraction(0)).cost, 1))
         try:
             expected = _ref_two_cost_mst(mg, budget, eps)
         except DisconnectedGraphError:
@@ -458,13 +493,13 @@ def test_residual_trees_lie_in_the_greedy_forests_of_the_light_copies():
                 relabelled = [(c.copy_id, labels[c.u], labels[c.v], c.length, c.cost)
                               for c in forest]
                 try:
-                    tree = _ref_tree(residual, lam, budget)
+                    tree = _ref_tree(residual, lam)
                 except DisconnectedGraphError:
                     with pytest.raises(DisconnectedGraphError):
-                        lagrangian_tree(k, relabelled, lam, budget)
+                        lagrangian_tree(k, relabelled, lam)
                     continue
                 assert set(tree.copy_ids) <= {c.copy_id for c in forest}
-                assert lagrangian_tree(k, relabelled, lam, budget) == tree
+                assert lagrangian_tree(k, relabelled, lam) == tree
                 checked += 1
                 binding += tree.cost > budget
     assert checked >= 800 and binding >= 200
@@ -476,7 +511,7 @@ def test_two_cost_mst_matches_eager_reference_on_a_random_corpus():
     for case in range(400):
         mg = _random_mg(rng, rng.randint(3, 14), max_cost=rng.choice([6, 12]))
         eps = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
-        longest = _ref_tree(mg, Fraction(0), 0).cost
+        longest = _ref_tree(mg, Fraction(0)).cost
         # binding budgets fall below the longest tree's cost, loose ones reach it
         budget = (rng.randint(0, max(longest - 1, 0)) if case % 2
                   else rng.randint(longest, longest + 6))
@@ -502,12 +537,12 @@ def test_searches_started_from_the_light_forests_solve_the_plain_searchs_trees(m
         log.append(solve(*args))
         return log[-1]
 
-    def compared(k, copies, budget, need=None, *, at_zero, cheap):
+    def compared(k, copies, budget, need, at_zero, cheap):
         log.clear()
-        found = search(k, copies, budget, need, at_zero=at_zero, cheap=cheap)
+        found = search(k, copies, budget, need, at_zero, cheap)
         started = [at_zero] + log
         log.clear()
-        assert search(k, copies, budget, need) == found
+        assert search(k, copies, budget, need, recorded(k, copies, Fraction(0)), copies) == found
         assert log == started
         compared.calls += 1
         return found

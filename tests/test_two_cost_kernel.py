@@ -15,7 +15,6 @@ from netupgrade import generate
 from netupgrade._util import UnionFind
 from netupgrade.instances import DisconnectedGraphError, MultiGraph, expand_to_multigraph
 from netupgrade.two_cost import (
-    LagrangianPoint,
     LambdaSearchResult,
     TwoCostResult,
     _heavy_forests,
@@ -41,7 +40,7 @@ def _kruskal(ordered, uf, limit):
     return chosen
 
 
-def old_lagrangian_tree(k, copies, lam, budget):
+def old_lagrangian_tree(k, copies, lam):
     if lam < 0:
         raise ValueError("multiplier must be nonnegative")
     lam = Fraction(lam)
@@ -52,40 +51,39 @@ def old_lagrangian_tree(k, copies, lam, budget):
         raise DisconnectedGraphError("multigraph is not connected")
     length = sum(c[3] for c in chosen)
     cost = sum(c[4] for c in chosen)
-    value = Fraction(length) - lam * (cost - budget)
-    return LagrangianPoint(lam, tuple(sorted(c[0] for c in chosen)), length, cost, value)
+    return TwoCostResult(tuple(sorted(c[0] for c in chosen)), length, cost)
 
 
 def old_lambda_search(k, copies, budget, need=None, *, at_zero=None, cheap=None):
-    p_lo = old_lagrangian_tree(k, copies, Fraction(0), budget) if at_zero is None else at_zero
+    p_lo = old_lagrangian_tree(k, copies, Fraction(0)) if at_zero is None else at_zero
     if need is not None and p_lo.length < need:
         return None
     if p_lo.cost <= budget:
-        return LambdaSearchResult(exact=p_lo)
+        return p_lo
     total_cost = sum(c[4] for c in copies)
     reach = budget + max((c[4] for c in copies), default=0)
     p_hi = old_lagrangian_tree(k, copies if cheap is None else cheap,
-                               Fraction(sum(c[3] for c in copies) + 1), budget)
+                               Fraction(sum(c[3] for c in copies) + 1))
     if p_hi.cost > budget:
         raise DisconnectedGraphError("no budget-feasible spanning tree")
     while True:
         lam = Fraction(p_lo.length - p_hi.length, p_lo.cost - p_hi.cost)
-        under = old_lagrangian_tree(k, copies, lam, budget)
+        under = old_lagrangian_tree(k, copies, lam)
         if need is not None and under.length - lam * (under.cost - reach) < need:
             return None
+        value = under.length - lam * (under.cost - budget)
         line = p_hi.length - lam * (p_hi.cost - budget)
-        if under.lagrangian_value == line:
+        if value == line:
             break
-        assert under.lagrangian_value > line, "chord tree below the dual"
+        assert value > line, "chord tree below the dual"
         if under.cost > budget:
             p_lo = under
         else:
             p_hi = under
-    below = old_lagrangian_tree(k, copies, lam - Fraction(1, 2 * (total_cost + 1) ** 2), budget)
+    below = old_lagrangian_tree(k, copies, lam - Fraction(1, 2 * (total_cost + 1) ** 2))
     over_val = below.length - lam * (below.cost - budget)
-    assert below.cost > budget and over_val == under.lagrangian_value
-    over = LagrangianPoint(lam, below.copy_ids, below.length, below.cost, over_val)
-    return LambdaSearchResult(lam_star=lam, under=under, over=over)
+    assert below.cost > budget and over_val == value
+    return LambdaSearchResult(lam_star=lam, under=under, over=below)
 
 
 def old_two_cost_mst(mg, budget, eps):
@@ -120,7 +118,7 @@ def _old_solve_with_heavy_subset(light, zero, inf, subset, labels, budget, incum
         return subset_ids
     need = None if incumbent is None else incumbent - sum(c.length for c in subset)
     try:
-        at_zero = old_lagrangian_tree(k, _relabel(zero, labels), Fraction(0), residual_budget)
+        at_zero = old_lagrangian_tree(k, _relabel(zero, labels), Fraction(0))
         if need is not None and at_zero.length < need:
             return None
         if at_zero.cost <= residual_budget:
@@ -132,7 +130,7 @@ def _old_solve_with_heavy_subset(light, zero, inf, subset, labels, budget, incum
         return None
     if found is None:
         return None
-    chain = swap_chain(res, found.under, found.over, found.lam_star)
+    chain = swap_chain(res, found.under, found.over, found.lam_star, residual_budget)
     by_id = {c[0]: c for c in res}
     for ids in chain:
         if sum(by_id[i][4] for i in ids) > residual_budget:
@@ -141,6 +139,18 @@ def _old_solve_with_heavy_subset(light, zero, inf, subset, labels, budget, incum
 
 
 # ------------------------------------------------------------------------- tests
+
+def _search(k, copies, budget, need=None):
+    """``lambda_search`` entered as the solver enters it: the tree at
+    multiplier 0 answers a ``need`` it falls short of (None) and a budget it
+    fits (the tree itself); ``copies`` stand in for F_inf."""
+    at_zero = lagrangian_tree(k, copies, Fraction(0))
+    if need is not None and at_zero.length < need:
+        return None
+    if at_zero.cost <= budget:
+        return at_zero
+    return lambda_search(k, copies, budget, need, at_zero, copies)
+
 
 def _tied_mg(rng):
     """A random multigraph, n = 3-14 with 2-3 levels, whose lengths and costs
@@ -163,7 +173,7 @@ def test_two_cost_mst_matches_the_tuple_key_solver_where_keys_tie():
     for case in range(420):
         mg = _tied_mg(rng)
         eps = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
-        longest = old_lagrangian_tree(mg.n, _as_tuples(mg), Fraction(0), 0).cost
+        longest = old_lagrangian_tree(mg.n, _as_tuples(mg), Fraction(0)).cost
         budget = (rng.randint(0, max(longest - 1, 0)) if case % 2
                   else rng.randint(longest, longest + 4))
         binding += budget < longest
@@ -196,28 +206,27 @@ def test_lagrangian_kernel_matches_the_tuple_key_solver_where_keys_tie():
         total = sum(c[3] for c in copies)
         for lam in [Fraction(0), Fraction(total + 1),
                     Fraction(rng.randint(1, 12), rng.randint(1, 6))]:
-            assert (lagrangian_tree(mg.n, ordered, lam, budget)
-                    == old_lagrangian_tree(mg.n, copies, lam, budget))
+            assert lagrangian_tree(mg.n, ordered, lam) == old_lagrangian_tree(mg.n, copies, lam)
         need = rng.choice([None, rng.randint(0, total)])
         try:
             expected = old_lambda_search(mg.n, copies, budget, need)
         except DisconnectedGraphError:
             with pytest.raises(DisconnectedGraphError):
-                lambda_search(mg.n, ordered, budget, need)
+                _search(mg.n, ordered, budget, need)
             continue
-        assert lambda_search(mg.n, ordered, budget, need) == expected, (mg, budget, need)
-        searches += expected is not None and expected.exact is None
+        assert _search(mg.n, ordered, budget, need) == expected, (mg, budget, need)
+        searches += isinstance(expected, LambdaSearchResult)
     assert searches >= 50
 
 
 def test_one_vertex_with_no_copies():
-    point = lagrangian_tree(1, [], Fraction(3, 2), 4)
-    assert point == LagrangianPoint(Fraction(3, 2), (), 0, 0, Fraction(6))
-    assert point == old_lagrangian_tree(1, [], Fraction(3, 2), 4)
-    assert lambda_search(1, [], 0) == LambdaSearchResult(exact=lagrangian_tree(1, [], 0, 0))
+    point = lagrangian_tree(1, [], Fraction(3, 2))
+    assert point == TwoCostResult((), 0, 0)
+    assert point == old_lagrangian_tree(1, [], Fraction(3, 2))
+    assert _search(1, [], 0) == lagrangian_tree(1, [], 0)
     # a negative budget reaches the residual totals, which an empty residual
     # has too: the search reports that no tree fits, as the old solver did
-    for search in (lambda_search, old_lambda_search):
+    for search in (_search, old_lambda_search):
         with pytest.raises(DisconnectedGraphError):
             search(1, [], -1)
 
