@@ -16,15 +16,16 @@ differ only in the table and the budget they pass:
   unit K; spend is exact and the reported length is within (1 -/+ eps) of
   the optimum.
 
-A vertex collects its candidates in a row by spend, a list or a dict,
-whichever is short for them.  No parent pointers are kept: each step of the
-answer's path is recovered from the rows alone, and every solver returns the
-path totalled by ``instances.evaluate_path``.
+A vertex collects its candidates in a scratch row by spend, a list or a
+dict, and keeps only the frontier read off it.  No parent pointers are kept:
+the answer's path is recovered from the frontiers alone, and every solver
+returns it totalled by ``instances.evaluate_path``.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from ._util import as_fraction
@@ -53,11 +54,10 @@ def _require(dag: DagInstance, budget: int, minimize: bool, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative")
 
 
-def _length_at(row, s: int):
-    """A vertex row's best length at spend s, INF where it holds none."""
-    if type(row) is dict:
-        return row.get(s, INF)
-    return row[s] if 0 <= s < len(row) else INF
+def _keeps(frontier, w: int, s: int) -> bool:
+    """Whether a frontier, listed by rising spend, holds the pair (w, s)."""
+    i = bisect_left(frontier, s, key=lambda pair: pair[1])
+    return i < len(frontier) and frontier[i] == (w, s)
 
 
 def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, weights):
@@ -68,28 +68,27 @@ def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, weights):
     pairs[v] lists the non-dominated (length, spend) pairs of v->sink paths
     by rising spend: a pair survives when every cheaper one has a worse
     length.  Lengths are negated when maximizing, so lower is better.
-    rows[v] holds v's best candidate length per spend: each out-edge extends
-    every pair of its head at base length and, within the budget, improved
-    at its price.  The row is a list indexed by spend 0..top, where top =
-    min(budget, largest head spend + price), when top + 1 is at most twice
-    the head pairs read; otherwise it is a dict.  So a row costs at most a
-    constant times its candidates, whatever the budget.
+    v's row, scratch that lives only while v is filled, holds v's best
+    candidate length per spend: each out-edge extends every pair of its head
+    at base length and, within the budget, improved at its price.  The row
+    is a list indexed by spend 0..top, where top = min(budget, largest head
+    spend + price), when top + 1 is at most twice the head pairs read;
+    otherwise it is a dict.  So a row costs at most a constant times its
+    candidates, whatever the budget.
 
     The path is rebuilt from the source's best length at its smallest spend.
     Each step takes the first out-edge, in out-edge order with base before
-    improved, whose head row holds the rest of the length at the rest of the
-    spend: the first candidate that reached that pair, which fixes the path
-    among equal optima.  A row entry dominated by a cheaper spend never
-    matches a kept pair: the cheaper entry feeds a cheaper spend along the
-    same edge at no worse length, and a kept pair lies strictly below every
-    cheaper spend's length.
+    improved, whose head keeps the pair (rest of the length, rest of the
+    spend), which fixes the path among equal optima.  Every candidate
+    extends a kept pair of its head, and the heads' full rows would give the
+    same step: a row entry dominated by a cheaper spend feeds no kept pair,
+    as the cheaper entry feeds a cheaper spend at no worse length.
     """
     sign = 1 if minimize else -1
     out: dict[int, list[DagEdge]] = {}
     for e in st_edges(dag):
         out.setdefault(e.tail, []).append(e)
     pairs = {dag.sink: [(0, 0)]}
-    rows: dict[int, list | dict] = {dag.sink: [0]}
     for v in reversed(dag.topological_order()):
         edges = out.get(v)
         if edges is None:
@@ -139,18 +138,18 @@ def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, weights):
             if w < floor:
                 floor = w
                 kept.append((w, s))
-        rows[v], pairs[v] = row, kept
+        pairs[v] = kept
     rest, s = pairs[dag.source][-1]
     v, edge_ids, flags = dag.source, [], []
     while v != dag.sink:
         for e in out[v]:
             base, improved, price = weights[e.id]
-            row = rows[e.head]
-            if _length_at(row, s) == rest - sign * base:
+            down = pairs[e.head]
+            if _keeps(down, rest - sign * base, s):
                 rest -= sign * base
                 flags.append(False)
                 break
-            if _length_at(row, s - price) == rest - sign * improved:
+            if _keeps(down, rest - sign * improved, s - price):
                 rest -= sign * improved
                 s -= price
                 flags.append(True)

@@ -31,9 +31,10 @@ nonnegative.  The scheme:
    that could tie still reaches the copy-id tie-break.
 3. Walk a chain of single edge exchanges from the under-budget tree toward
    the over-budget one, stopping at the first tree whose cost exceeds the
-   residual budget.  Every tree on the chain is Lagrangian-optimal, so that
-   last tree has length >= OPT while overshooting the budget by at most one
-   cheap copy, i.e. at most eps*B.
+   residual budget; symmetric basis exchange (Brualdi 1969) gives each
+   missing copy an equal-weight partner.  Every tree on the chain is
+   Lagrangian-optimal, so that last tree has length >= OPT while
+   overshooting the budget by at most one cheap copy, i.e. at most eps*B.
 
 All multiplier arithmetic is exact (fractions over bounded integers), and
 the inner loops run on plain integers.  The light copies are sorted once per
@@ -109,14 +110,15 @@ def lambda_search(k: int, copies: Sequence[Copy], budget: int, need: int | None,
     tree exists.  Returns a bracketing pair of trees both optimal at the
     crossing multiplier, or None as soon as a solved tree proves that the
     tree this search yields is shorter than ``need`` (module docstring,
-    step 2).  ``copies`` are in (cost, copy id) order, as
-    ``lagrangian_tree`` needs.
+    step 2).  ``under`` is the chord tree at the crossing, and ``over`` the
+    optimum just below it, whose ties go to the costlier copy.  ``copies``
+    are in (cost, copy id) order, as ``lagrangian_tree`` needs.
     """
     p_lo = at_zero
     _, _, _, lengths, costs = zip(*copies) if copies else ((),) * 5
-    total_cost = sum(costs)
+    c_max = max(costs, default=0)
     # the yielded tree costs at most one copy more than the budget
-    reach = budget + max(costs, default=0)
+    reach = budget + c_max
     # above the total length, the multiplier orders copies by (cost, -length, id)
     p_hi = lagrangian_tree(k, cheap, Fraction(sum(lengths) + 1))
     if p_hi.cost > budget:
@@ -139,10 +141,10 @@ def lambda_search(k: int, copies: Sequence[Copy], budget: int, need: int | None,
             p_lo = under
         else:
             p_hi = under
-    # breakpoints are ratios of integer differences with denominators
-    # <= total_cost, so they are separated by > 1/total_cost^2; just below
-    # lam the optimum is the over-budget tree left of the crossing
-    over = lagrangian_tree(k, copies, lam - Fraction(1, 2 * (total_cost + 1) ** 2))
+    # at lam every key p*c - q*l is an integer, so lowering lam by less than
+    # 1/(q*c_max) keeps unequal keys in order and puts the costlier copy first
+    # among equal ones: the over-budget optimum left of the crossing
+    over = lagrangian_tree(k, copies, lam - Fraction(1, q * (c_max + 1)))
     assert over.cost > budget, "no over-budget tree left of the crossing"
     assert q * (over.length - under.length) == p * (over.cost - under.cost), \
         "bracketing trees are not both optimal at the crossing multiplier"
@@ -173,9 +175,10 @@ def swap_chain(copies: Sequence[Copy], under: TwoCostResult, over: TwoCostResult
     ``copies`` optimal at ``lam_star`` with under.cost <= budget < over.cost,
     up to and including the first tree that costs more than ``budget``.
 
-    Each step inserts one copy of `over`, removes an equal-weight copy on the
-    created cycle, and stays Lagrangian-optimal; such a swap always exists
-    between two optima of the same matroid weighting.
+    Each step inserts `over`'s next missing copy by id and removes the
+    smallest copy off `over` on its cycle with equal weight.  By symmetric
+    exchange (Brualdi 1969) some such copy swaps both ways into spanning
+    trees, neither outweighing an optimum, so every tree stays optimal.
     """
     copies_by_id = {c[0]: c for c in copies}
     p, q = lam_star.numerator, lam_star.denominator
@@ -184,21 +187,16 @@ def swap_chain(copies: Sequence[Copy], under: TwoCostResult, over: TwoCostResult
     target = set(over.copy_ids)
     chain = [tuple(sorted(current))]
     cost = under.cost
-    while cost <= budget:
-        for f in sorted(target - current):
-            _, u, v, _l, _c = copies_by_id[f]
-            cycle = _tree_path(copies_by_id, current, u, v)
-            swappable = [g for g in cycle if g not in target and weight[g] == weight[f]]
-            if swappable:
-                g = min(swappable)
-                current.remove(g)
-                current.add(f)
-                cost += copies_by_id[f][4] - copies_by_id[g][4]
-                chain.append(tuple(sorted(current)))
-                break
-        else:
-            raise AssertionError("no weight-preserving exchange found; "
-                                 "inputs are not optimal at the same multiplier")
+    for f in sorted(target - current):
+        _, u, v, _l, _c = copies_by_id[f]
+        g = min(g for g in _tree_path(copies_by_id, current, u, v)
+                if g not in target and weight[g] == weight[f])
+        current.remove(g)
+        current.add(f)
+        cost += copies_by_id[f][4] - copies_by_id[g][4]
+        chain.append(tuple(sorted(current)))
+        if cost > budget:
+            break
     return chain
 
 

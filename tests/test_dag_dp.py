@@ -1,9 +1,10 @@
+import inspect
 import random
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netupgrade import dag_dp, generate
@@ -287,6 +288,12 @@ def frontier_case(seed, n, density, max_len, max_cost, budget_kind, minimize, ta
        minimize=st.booleans(), table=st.sampled_from(["budget", "uniform", "fptas", "free"]),
        unit=st.integers(2, 300))
 @settings(max_examples=150, deadline=None)
+# dense DAGs with costs up to 10**6 under an unbounded budget: rows of
+# thousands of candidates; longest paths rebuilt over 62-83 steps, one shortest
+@example(5, 150, 6, 1000, 10**6, "huge", False, "budget", 1)
+@example(7, 150, 6, 1000, 10**6, "huge", False, "budget", 1)
+@example(4, 150, 8, 1000, 10**6, "huge", False, "budget", 1)
+@example(3, 150, 8, 1000, 10**6, "huge", True, "budget", 1)
 def test_frontier_dp_matches_the_dict_row_reference(seed, n, density, max_len, max_cost,
                                                     budget_kind, minimize, table, unit):
     dag, budget, weights = frontier_case(seed, n, density, max_len, max_cost,
@@ -295,19 +302,34 @@ def test_frontier_dp_matches_the_dict_row_reference(seed, n, density, max_len, m
     assert dag_dp._frontier_dp(dag, budget, minimize, weights) == want
 
 
-def test_both_row_kinds_run_and_list_rows_stay_within_twice_their_reads(monkeypatch):
+def filled_rows(*args):
+    """(``_frontier_dp(*args)``, [(row, reads)]): the DP's result and every
+    row it fills, with the head pairs it read, taken from its frame by a line
+    hook at the statement that reads the frontier off the row."""
+    code = dag_dp._frontier_dp.__code__
+    lines, first = inspect.getsourcelines(code)
+    at = first + next(i for i, line in enumerate(lines) if "kept, floor = [], INF" in line)
+    rows = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == at:
+            rows.append((frame.f_locals["row"], frame.f_locals["reads"]))
+        return local
+
+    def hook(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    before = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        return dag_dp._frontier_dp(*args), rows
+    finally:
+        sys.settrace(before)
+
+
+def test_both_row_kinds_run_and_list_rows_stay_within_twice_their_reads():
     """Costs up to 10 keep spend-indexed rows short enough to be lists; costs
-    up to 10**7 spread spends so that rows fall back to dicts.  The DP's
-    rows, frontiers and out-edges are read from its frame at the first row
-    lookup of the path's recovery, when every row is filled."""
-    frames = []
-    real = dag_dp._length_at
-
-    def spy(row, s):
-        frames.append(sys._getframe(1).f_locals)
-        return real(row, s)
-
-    monkeypatch.setattr(dag_dp, "_length_at", spy)
+    up to 10**7 spread spends so that rows fall back to dicts."""
     rng = random.Random(16)
     kinds = {list: 0, dict: 0}
     for i in range(80):
@@ -315,14 +337,10 @@ def test_both_row_kinds_run_and_list_rows_stay_within_twice_their_reads(monkeypa
         dag, budget, weights = frontier_case(
             rng.randrange(10**6), rng.randint(10, 40), rng.randint(1, 4), 1000,
             (10, 10**7)[i % 2], rng.choice(["small", "total", "huge"]), minimize, "budget", 1)
-        frames.clear()
-        got = dag_dp._frontier_dp(dag, budget, minimize, weights)
+        got, rows = filled_rows(dag, budget, minimize, weights)
         assert got == reference_frontier_dp(dag, budget, minimize, weights)
-        rows, pairs, out = (frames[0][name] for name in ("rows", "pairs", "out"))
-        for v, row in rows.items():
-            if v == dag.sink:
-                continue
+        for row, reads in rows:
             kinds[type(row)] += 1
             if type(row) is list:
-                assert len(row) <= 2 * sum(len(pairs[e.head]) for e in out[v])
+                assert len(row) <= 2 * reads
     assert kinds[list] > 100 and kinds[dict] > 100, kinds

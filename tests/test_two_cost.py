@@ -310,7 +310,7 @@ def test_swap_chain_stops_at_the_first_tree_over_budget():
         zero_cost = lagrangian_tree(*_split(mg), Fraction(0)).cost
         budgets = [zero_cost, rng.randrange(zero_cost)] if zero_cost else [0]
         cases += [(mg, budget) for budget in budgets]
-    binding = 0
+    binding = longer = 0
     for mg, budget in cases:
         k, copies = _split(mg)
         found = _search(k, copies, budget)
@@ -319,10 +319,15 @@ def test_swap_chain_stops_at_the_first_tree_over_budget():
         binding += 1
         by_id = {c.copy_id: c for c in mg.copies}
         full = _ref_swap_chain(mg, found.under, found.over, found.lam_star)
-        stop = next(i for i, ids in enumerate(full) if sum(by_id[j].cost for j in ids) > budget)
-        assert swap_chain(copies, found.under, found.over, found.lam_star,
-                          budget) == full[:stop + 1], (mg, budget)
+        # the search's budget, then the largest one the bracket still spans,
+        # which walks the chain until a tree costs as much as ``over``
+        for cap in (budget, found.over.cost - 1):
+            stop = next(i for i, ids in enumerate(full) if sum(by_id[j].cost for j in ids) > cap)
+            chain = swap_chain(copies, found.under, found.over, found.lam_star, cap)
+            assert chain == full[:stop + 1], (mg, budget, cap)
+            longer += len(chain) > 2
     assert binding >= 250
+    assert longer >= 100
 
 
 def test_two_cost_mst_matches_eager_reference_with_heavy_copies():
