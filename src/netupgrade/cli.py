@@ -92,24 +92,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _tree(sol, budget: int) -> tuple:
-    edges = [{"id": eid, "level": lvl} for eid, lvl in sorted(sol.choices.items())]
-    return sol.total_length, sol.total_spend, edges, sol.total_spend <= budget
-
-
-def _on_multigraph(graph, budget: int, copy_ids) -> tuple:
+def _on_multigraph(graph, copy_ids):
     """Tree entry for a solver that picks ``copy_ids(multigraph)`` of the expanded graph."""
     mg = expand_to_multigraph(graph)
-    sol = solution_from_choices(graph, choices_from_copies(mg, copy_ids(mg)))
-    return _tree(sol, budget)
+    return solution_from_choices(graph, choices_from_copies(mg, copy_ids(mg)))
 
 
-def _imst(graph, budget: int, opts) -> tuple:
+def _imst(graph, budget: int, opts):
     config = imst_random.RandomizedConfig(
         epsilon=_given(opts.epsilon, Fraction(3, 10)), delta=_given(opts.delta, Fraction(1, 5)),
         master_seed=opts.seed, trials=opts.trials)
-    return _tree(imst_random.imst_solve(graph, budget, config,
-                                        minimize=opts.minimize).solution, budget)
+    return imst_random.imst_solve(graph, budget, config, minimize=opts.minimize).solution
 
 
 def _improvement_cap(dag, budget: int) -> int:
@@ -127,18 +120,18 @@ class UsageError(RuntimeError):
     pass
 
 
-# Entries are run(instance, budget, opts): tree entries return (objective,
-# spend, edges, feasible), DAG entries a PathSolution.  They look solvers up
-# through their modules at call time, so a module attribute rebound later
-# (a wrapper, a mock) is the one that runs.
+# Entries are run(instance, budget, opts): tree entries return a
+# TreeSolution, DAG entries a PathSolution.  They look solvers up through
+# their modules at call time, so a module attribute rebound later (a
+# wrapper, a mock) is the one that runs.
 TREE_ALGOS = {
-    "uimst": lambda g, b, o: _tree(mst_uniform.uimst_half_approx(g, o.k or 0), b),
+    "uimst": lambda g, b, o: mst_uniform.uimst_half_approx(g, o.k or 0),
     "twocost": lambda g, b, o: _on_multigraph(
-        g, b, lambda mg: two_cost.two_cost_mst(mg, b, _given(o.epsilon, Fraction(1, 2))).copy_ids),
+        g, lambda mg: two_cost.two_cost_mst(mg, b, _given(o.epsilon, Fraction(1, 2))).copy_ids),
     "imst": _imst,
-    "exact-imst": lambda g, b, o: _tree(oracle.exact_imst(g, b)[1], b),
+    "exact-imst": lambda g, b, o: oracle.exact_imst(g, b)[1],
     "exact-twocost": lambda g, b, o: _on_multigraph(
-        g, b, lambda mg: oracle.exact_two_cost(mg, b)[2]),
+        g, lambda mg: oracle.exact_two_cost(mg, b)[2]),
 }
 DAG_ALGOS = {
     "wildag-uniform": lambda d, b, o: dag_dp.wildag_uniform(d, _improvement_cap(d, b)),
@@ -157,14 +150,16 @@ def _run_algo(algo: str, problem: Problem, budget: int, opts) -> tuple:
     if algo in TREE_ALGOS:
         if problem.kind != "imst":
             raise UsageError(f"algorithm {algo} needs an imst instance")
-        return TREE_ALGOS[algo](problem.graph, budget, opts)
-    if algo not in DAG_ALGOS:
+        sol = TREE_ALGOS[algo](problem.graph, budget, opts)
+        edges = [{"id": eid, "level": lvl} for eid, lvl in sorted(sol.choices.items())]
+    elif algo in DAG_ALGOS:
+        if problem.kind != "wildag":
+            raise UsageError(f"algorithm {algo} needs a wildag instance")
+        sol = DAG_ALGOS[algo](problem.dag, budget, opts)
+        edges = [{"id": eid, "level": 1 if imp else 0}
+                 for eid, imp in zip(sol.edge_ids, sol.improved)]
+    else:
         raise UsageError(f"unknown algorithm {algo!r}")
-    if problem.kind != "wildag":
-        raise UsageError(f"algorithm {algo} needs a wildag instance")
-    sol = DAG_ALGOS[algo](problem.dag, budget, opts)
-    edges = [{"id": eid, "level": 1 if imp else 0}
-             for eid, imp in zip(sol.edge_ids, sol.improved)]
     return sol.total_length, sol.total_spend, edges, sol.total_spend <= budget
 
 

@@ -21,8 +21,9 @@ instance's memo (``instances._memo``) as a small plan: the relaxed tree's
 choices and totals, the fallback tree, and one record per upgraded edge of
 the relaxed tree, in ascending edge id, holding the length and spend a trial
 loses when it reverts that edge to level 0.  A trial is then its draws alone:
-one ``random()`` per record, and the relaxed totals minus the losses of the
-edges it reverts.  Only the winning tree is built, once per solve.  Repeated
+``sample_improved_forest`` draws one ``random()`` per record and returns the
+records it reverts, and the trial's totals are the relaxed totals minus their
+losses.  Only the winning tree is built, once per solve.  Repeated
 solves on one instance, over many master seeds, validate and relax once.
 """
 
@@ -114,25 +115,10 @@ def _keep_probability(eps_prime: Fraction) -> float:
     return q * q / ((p + q) * (p + q))
 
 
-def _reverted(records, keep: float, draw) -> list:
-    """The records a trial reverts to level 0: one draw per record, in order;
-    a record keeps its level when its draw is below ``keep``."""
+def sample_improved_forest(records, keep: float, draw) -> list:
+    """The records one trial reverts to level 0: one ``draw()`` per record,
+    in order; a record keeps its level when its draw is below ``keep``."""
     return [rec for rec in records if not draw() < keep]
-
-
-def sample_improved_forest(graph: UpgradableGraph, choices: dict[int, int],
-                           eps_prime: Fraction, rng: random.Random) -> TreeSolution:
-    """Independently revert each improved edge to level 0 with prob 1 - 1/(1+eps')^2.
-
-    The tree topology is unchanged (levels are parallel copies of the same
-    edge); totals are computed against `graph`.  Draws one ``rng.random()``
-    per improved edge in ascending edge id, as each ``imst_solve`` trial does.
-    """
-    sampled = dict(sorted(choices.items()))
-    upgraded = [eid for eid, lvl in sampled.items() if lvl > 0]
-    for eid in _reverted(upgraded, _keep_probability(eps_prime), rng.random):
-        sampled[eid] = 0
-    return solution_from_choices(graph, sampled)
 
 
 def minimize_transform(graph: UpgradableGraph) -> UpgradableGraph:
@@ -206,7 +192,7 @@ def imst_solve(graph: UpgradableGraph, budget: int, config: RandomizedConfig,
             rng.seed(seed)
         else:
             rng = random.Random(seed)
-        reverted = _reverted(losses, keep, rng.random)
+        reverted = sample_improved_forest(losses, keep, rng.random)
         trial_length, trial_spend = length, spend
         for _, lost_length, lost_spend in reverted:
             trial_length -= lost_length

@@ -102,3 +102,25 @@ def test_tracer_sees_one_parse_and_one_validation_per_dag_solve(tmp_path, monkey
     _times, counts, _hit_ratio = tracer.metrics()
     assert counts["serialization.parse.calls"] == 1
     assert counts["instances.validate.calls"] == 1
+
+
+def test_tracer_times_every_imst_trial(monkeypatch):
+    """The sample layer wraps the one draw every trial makes, so it counts
+    the trials the returned results record and its time is not zero."""
+    monkeypatch.syspath_prepend(str(BENCHMARK_DIR))
+    import tracing
+
+    graph = generate.gen_random_graph(9, 16, max_len=40, levels=3, seed=21)
+    budget = sum(e.ladder[-1].cost for e in graph.edges) // 3
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for seed, trials in enumerate((None, 1, 40)):
+            config = imst_random.RandomizedConfig(Fraction(3, 10), Fraction(1, 5), seed, trials)
+            imst_random.imst_solve(graph, budget, config)
+    finally:
+        tracer.uninstall()
+    times, counts, _hit_ratio = tracer.metrics()
+    assert counts["imst_random.trials"] > 0
+    assert tracer.calls["imst_random.sample"] == counts["imst_random.trials"]
+    assert times["imst_random.sample_ms"] > 0

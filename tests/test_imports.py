@@ -1,7 +1,8 @@
 """Import hygiene for the package, checked with the standard library's ast
-(no linter is a dependency): every top-level import in a module is used,
-every private module-level name is read somewhere else in the package, and
-every name the package exports resolves."""
+(no linter is a dependency): every top-level import in a module is used, or
+marked ``# noqa: F401`` and rebound by the benchmark's tracer, every private
+module-level name is read somewhere else in the package, and every name the
+package exports resolves."""
 
 import ast
 from pathlib import Path
@@ -12,11 +13,13 @@ import netupgrade
 
 SRC = Path(netupgrade.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names bound by top-level imports that the module never reads, except
-    on import statements marked ``# noqa: F401``."""
+def unread_imports(source: str) -> list[tuple[str, int, bool]]:
+    """(name, line, marked) for each name bound by a top-level import that
+    the module never reads; ``marked`` says the import statement carries
+    ``# noqa: F401``."""
     tree = ast.parse(source)
     lines = source.splitlines()
     imported = {}
@@ -25,12 +28,51 @@ def unused_imports(source: str) -> list[str]:
             continue
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
-            continue
+        marked = any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
         for alias in node.names:
-            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno, marked
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+    return [(name, line, marked) for name, (line, marked) in imported.items()
+            if name not in used]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by top-level imports that the module never reads, except
+    on import statements marked ``# noqa: F401``."""
+    return [f"line {line}: {name}" for name, line, marked in unread_imports(source)
+            if not marked]
+
+
+def tracer_patches(source: str) -> set[tuple[str, str]]:
+    """(owner, attribute) for every ``patch(owner, "attribute", ...)`` call;
+    an owner bound by an enclosing ``for owner in (a, b)`` stands for a and b."""
+    patched = set()
+
+    def visit(node, loops):
+        if (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+                and isinstance(node.iter, ast.Tuple)):
+            loops = {**loops, node.target.id: [getattr(e, "id", None) for e in node.iter.elts]}
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "patch"
+                and len(node.args) >= 2 and isinstance(node.args[0], ast.Name)
+                and isinstance(node.args[1], ast.Constant)):
+            owner = node.args[0].id
+            patched.update((o, node.args[1].value) for o in loops.get(owner, [owner]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, loops)
+
+    visit(ast.parse(source), {})
+    return patched
+
+
+def unpatched_marked_imports(sources: dict[str, str], tracer: str) -> list[str]:
+    """``module.name`` for each name a module imports under ``# noqa: F401``
+    and never reads that the tracer does not rebind on that module.
+    ``sources`` maps module names to their text."""
+    patched = tracer_patches(tracer)
+    return [f"{module}.{name}" for module, source in sources.items()
+            for name, _line, marked in unread_imports(source)
+            if marked and (module, name) not in patched]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -45,6 +87,27 @@ def test_unused_import_check_flags_only_unmarked_dead_names():
               "from re import compile  # noqa: F401\n"
               "print(sys.argv, loads)\n")
     assert unused_imports(source) == ["line 2: os", "line 3: d"]
+
+
+def test_every_marked_unread_import_is_rebound_by_the_tracer():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unpatched_marked_imports(sources, TRACING.read_text()) == []
+
+
+def test_marked_import_check_flags_names_the_tracer_does_not_rebind():
+    sources = {"a": ("from .b import walk, step, hop  # noqa: F401\n"
+                     "from .c import sort  # noqa: F401\n"
+                     "print(hop)\n"),
+               "d": "from .b import walk  # noqa: F401\n"}
+    tracer = ("class Tracer:\n"
+              "    def install(self):\n"
+              "        for owner in (b, a):\n"
+              "            self.patch(owner, 'walk', 'b.walk')\n"
+              "        self.patch(c, 'sort', 'c.sort')\n"
+              "        for name in ('step',):\n"
+              "            self.patch(a, name, 'b.step')\n")
+    assert tracer_patches(tracer) == {("b", "walk"), ("a", "walk"), ("c", "sort")}
+    assert unpatched_marked_imports(sources, tracer) == ["a.step", "a.sort", "d.walk"]
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:

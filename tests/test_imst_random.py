@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from netupgrade import generate
 from netupgrade.imst_random import (
     RandomizedConfig,
+    _keep_probability,
     _map_lengths,
     imst_solve,
     minimize_transform,
@@ -61,22 +63,28 @@ def test_shift_lengths_moves_every_level():
 
 
 def test_sampling_keeps_tree_topology():
-    g = generate.gen_random_graph(6, 9, seed=2)
-    choices = {0: 1, 2: 1, 3: 0, 5: 1, 6: 0}
-    import random
-    sol = sample_improved_forest(g, choices, Fraction(1, 4), random.Random(5))
-    assert set(sol.choices) == set(choices)
-    for eid, lvl in sol.choices.items():
-        assert lvl in (0, choices[eid])
+    """A trial only lowers levels of the relaxed tree: it reverts an in-order
+    subsequence of its upgrade records, one draw per record, and a record
+    stays when its draw is below ``keep``."""
+    records = [(0, 5, 2), (2, 3, 1), (5, 7, 4), (6, 1, 1)]
+    draws = iter([0.1, 0.9, 0.5, 0.7])
+    assert sample_improved_forest(records, 0.6, lambda: next(draws)) == [(2, 3, 1), (6, 1, 1)]
+    assert next(draws, None) is None
+    rng = random.Random(5)
+    reverted = sample_improved_forest(records, _keep_probability(Fraction(1, 4)), rng.random)
+    rest = iter(records)
+    assert all(rec in rest for rec in reverted)
+    assert sample_improved_forest(records, 1.0, rng.random) == []
+    assert sample_improved_forest(records, 0.0, rng.random) == records
 
 
 def test_sampling_is_seed_deterministic():
-    import random
-    g = generate.gen_random_graph(6, 9, seed=2)
-    choices = {0: 1, 2: 1, 3: 1, 5: 1, 6: 1}
-    a = sample_improved_forest(g, choices, Fraction(1, 4), random.Random(9))
-    b = sample_improved_forest(g, choices, Fraction(1, 4), random.Random(9))
+    records = [(eid, eid + 1, 1) for eid in range(40)]
+    keep = _keep_probability(Fraction(1, 4))
+    a = sample_improved_forest(records, keep, random.Random(9).random)
+    b = sample_improved_forest(records, keep, random.Random(9).random)
     assert a == b
+    assert 0 < len(a) < len(records)
 
 
 def lvl(length, cost):

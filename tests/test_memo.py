@@ -19,6 +19,7 @@ from netupgrade.imst_random import (
     ImstResult,
     RandomizedConfig,
     TrialSummary,
+    _keep_probability,
     _map_lengths,
     imst_solve,
     minimize_transform,
@@ -192,6 +193,17 @@ def analysis_shift(graph, config):
     return _map_lengths(graph, lambda x: x * graph.n + shift)
 
 
+def sample_tree(graph, choices, eps_prime, rng):
+    """One trial as a tree: ``choices`` with every upgraded edge that
+    ``sample_improved_forest`` reverts set to level 0, drawing one
+    ``rng.random()`` per upgraded edge in ascending edge id."""
+    sampled = dict(sorted(choices.items()))
+    upgraded = [eid for eid, lvl in sampled.items() if lvl > 0]
+    for eid in sample_improved_forest(upgraded, _keep_probability(eps_prime), rng.random):
+        sampled[eid] = 0
+    return solution_from_choices(graph, sampled)
+
+
 def reference_imst_solve(graph, budget, config, minimize=False):
     """The solver before its relaxation was memoized: validate, shift,
     expand and relax on every call."""
@@ -209,8 +221,7 @@ def reference_imst_solve(graph, budget, config, minimize=False):
     best, best_trial, trials = None, None, []
     for i in range(config.num_trials):
         seed = splitmix64((config.master_seed ^ i) & MASK64)
-        sampled = sample_improved_forest(graph, choices, config.epsilon_prime,
-                                         random.Random(seed))
+        sampled = sample_tree(graph, choices, config.epsilon_prime, random.Random(seed))
         trials.append(TrialSummary(i, seed, sampled.total_length, sampled.total_spend,
                                    sampled.total_spend <= budget))
         for cand in (sampled, pipeline_sol):
@@ -320,8 +331,7 @@ def test_every_trial_replays_through_sample_improved_forest():
         res = imst_solve(g, budget, config, minimize=minimize)
         relaxed_length = solution_from_choices(g, relaxed).total_length
         for summary in res.trials:
-            sampled = sample_improved_forest(g, relaxed, config.epsilon_prime,
-                                             random.Random(summary.seed))
+            sampled = sample_tree(g, relaxed, config.epsilon_prime, random.Random(summary.seed))
             assert (sampled.total_length, sampled.total_spend) == (
                 summary.length, summary.spend)
             # on a falling ladder a reverted edge lengthens the tree
