@@ -15,9 +15,11 @@ in the instance's ``__dict__``, outside the dataclass fields, so ``==``,
 ``hash`` and ``repr`` never see it.  It holds successes only.
 ``require_valid`` records a passed validation per ``improvement`` direction
 and never a failure, so an invalid instance raises the same violations on
-every call.  A DAG keeps its topological order, the vertices its source
-reaches and its source-sink edges (``st_edges``) there, so validation,
+every call.  A DAG keeps its head lists (``heads[v]``, the heads of v's
+out-edges), its topological order, the vertices its source reaches and its
+source-sink edges (``st_edges``) there, so validation,
 ``effective_max_length`` and the frontier DP share one computation of each.
+Reachability is one sweep of the kept order over the head lists.
 A graph keeps its ladders as plain tuples for ``solution_from_choices``; the
 solvers keep their derived plans (the randomized solver's relaxation, the
 base-length spanning tree) there too.  The rule assumes the instance is
@@ -27,8 +29,9 @@ built from tuples and never mutated.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import ge, itemgetter, le
 from typing import NamedTuple
 
 from ._util import UnionFind
@@ -97,13 +100,7 @@ class DagInstance:
 
         Raises InvalidInstanceError if the edge relation has a cycle.
         """
-        memo = _memo(self)
-        if "order" not in memo:
-            order = _topological_order(self.n, self.edges)
-            if order is None:
-                raise InvalidInstanceError(["not acyclic"])
-            memo["order"] = order
-        return list(memo["order"])
+        return list(_order(self))
 
     def effective_max_length(self, budget: int) -> int:
         """Largest edge length realizable on some s-t path within `budget`.
@@ -156,49 +153,84 @@ class MultiGraph:
     copies: tuple[EdgeCopy, ...]
 
 
-def _topological_order(n: int, edges) -> list[int] | None:
+def _head_lists(n: int, edges) -> list[list[int]]:
+    """heads[v]: the heads of v's out-edges, in edge order.
+
+    Raises InvalidInstanceError, in the validator's words, for every edge
+    with an endpoint outside [0, n), which would otherwise index a list
+    from its end.
+    """
+    heads: list[list[int]] = [[] for _ in range(n)]
+    if not edges:
+        return heads
+    tails, tips = list(map(itemgetter(1), edges)), list(map(itemgetter(2), edges))
+    if min(tails) < 0 or min(tips) < 0 or max(tails) >= n or max(tips) >= n:
+        raise InvalidInstanceError([f"edge {e.id}: endpoint out of range" for e in edges
+                                    if not (0 <= e.tail < n and 0 <= e.head < n)])
+    for tail, head in zip(tails, tips):
+        heads[tail].append(head)
+    return heads
+
+
+def _heads(dag: DagInstance) -> list[list[int]]:
+    """The DAG's head lists; memoized, shared, never mutated."""
+    memo = _memo(dag)
+    if "heads" not in memo:
+        memo["heads"] = _head_lists(dag.n, dag.edges)
+    return memo["heads"]
+
+
+def _topological_order(n: int, heads: list[list[int]]) -> list[int] | None:
     indeg = [0] * n
-    out: list[list[int]] = [[] for _ in range(n)]
-    for e in edges:
-        out[e.tail].append(e.head)
-        indeg[e.head] += 1
+    for w in chain.from_iterable(heads):
+        indeg[w] += 1
     ready = [v for v in range(n) if indeg[v] == 0]
     heapq.heapify(ready)
     order = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for w in out[v]:
+        for w in heads[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
     return order if len(order) == n else None
 
 
-def _walk(dag: DagInstance, start: int, forward: bool) -> set[int]:
-    """Vertices reachable from `start` along the edges, or against them."""
-    nbrs: defaultdict[int, list[int]] = defaultdict(list)
-    for e in dag.edges:
-        if forward:
-            nbrs[e.tail].append(e.head)
-        else:
-            nbrs[e.head].append(e.tail)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        for w in nbrs.get(queue.popleft(), ()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
+def _order(dag: DagInstance) -> list[int]:
+    """Kahn's order, smallest vertex id first; memoized, shared, never mutated.
+
+    Raises InvalidInstanceError if the edge relation has a cycle.
+    """
+    memo = _memo(dag)
+    if "order" not in memo:
+        order = _topological_order(dag.n, _heads(dag))
+        if order is None:
+            raise InvalidInstanceError(["not acyclic"])
+        memo["order"] = order
+    return memo["order"]
 
 
 def reachable_from(dag: DagInstance, start: int) -> set[int]:
-    return _walk(dag, start, forward=True)
+    """Vertices reachable from `start` along the edges: one forward sweep of
+    the topological order, so the DAG must be acyclic."""
+    order, heads = _order(dag), _heads(dag)
+    seen = {start}
+    for v in order:
+        if v in seen:
+            seen.update(heads[v])
+    return seen
 
 
 def reaching_to(dag: DagInstance, target: int) -> set[int]:
-    return _walk(dag, target, forward=False)
+    """Vertices that reach `target` along the edges: one reverse sweep of the
+    topological order, so the DAG must be acyclic."""
+    order, heads = _order(dag), _heads(dag)
+    seen = {target}
+    for v in reversed(order):
+        if not seen.isdisjoint(heads[v]):
+            seen.add(v)
+    return seen
 
 
 def _source_reach(dag: DagInstance) -> set[int]:
@@ -273,28 +305,41 @@ def _validate_graph(graph: UpgradableGraph) -> list[str]:
     return bad
 
 
+def _columns_valid(n: int, edges, improvement: str) -> bool:
+    """Whether no edge breaks a per-edge rule, checked column by column; ids
+    equal to 0..m-1 are both dense and distinct."""
+    ids, tails, tips, bases, improveds, costs = zip(*edges)
+    return (ids == tuple(range(len(ids)))
+            and min(tails) >= 0 and min(tips) >= 0 and max(tails) < n and max(tips) < n
+            and min(bases) >= 0 and min(improveds) >= 0 and min(costs) >= 0
+            and all(map(ge if improvement == "decrease" else le, bases, improveds)))
+
+
 def _validate_dag(dag: DagInstance, improvement: str) -> list[str]:
     bad: list[str] = []
     if dag.n < 2:
         bad.append("DAG needs at least two vertices")
         return bad
-    n, seen_ids = dag.n, set()
+    n = dag.n
     endpoints_in_range = True
-    for eid, tail, head, base, improved, cost in dag.edges:
-        if eid in seen_ids:
-            bad.append(f"edge {eid}: duplicate id")
-        seen_ids.add(eid)
-        if not (0 <= tail < n and 0 <= head < n):
-            bad.append(f"edge {eid}: endpoint out of range")
-            endpoints_in_range = False
-        if base < 0 or improved < 0 or cost < 0:
-            bad.append(f"edge {eid}: negative length or cost")
-        if improvement == "increase" and base > improved:
-            bad.append(f"edge {eid}: improved length below base length")
-        if improvement == "decrease" and improved > base:
-            bad.append(f"edge {eid}: improved length above base length")
-    if any(e.id != i for i, e in enumerate(dag.edges)):
-        bad.append(_NOT_DENSE)
+    if dag.edges and not _columns_valid(n, dag.edges, improvement):
+        # some rule is broken: word every violation, edge by edge
+        seen_ids = set()
+        for eid, tail, head, base, improved, cost in dag.edges:
+            if eid in seen_ids:
+                bad.append(f"edge {eid}: duplicate id")
+            seen_ids.add(eid)
+            if not (0 <= tail < n and 0 <= head < n):
+                bad.append(f"edge {eid}: endpoint out of range")
+                endpoints_in_range = False
+            if base < 0 or improved < 0 or cost < 0:
+                bad.append(f"edge {eid}: negative length or cost")
+            if improvement == "increase" and base > improved:
+                bad.append(f"edge {eid}: improved length below base length")
+            if improvement == "decrease" and improved > base:
+                bad.append(f"edge {eid}: improved length above base length")
+        if any(e.id != i for i, e in enumerate(dag.edges)):
+            bad.append(_NOT_DENSE)
     if not (0 <= dag.source < dag.n and 0 <= dag.sink < dag.n):
         bad.append("source or sink out of range")
         return bad

@@ -17,19 +17,40 @@ Every document is read in one checked pass over its edges, which builds
 the instance's edge records and notes whether any "wildag" ladder decreases
 (a shortest-path instance); the instance is then validated once, in that
 direction.  Fields are tested with exact ``type(x) is int``/``list``/``dict``
-checks, which equal ``_want``'s for ``json.loads`` output; ``_want`` runs
-only to word an error.  Extra keys are accepted.  A "wildag" ladder-shape
-error (two levels, level 0 free) is raised only after every edge's field
-checks and after "source", "sink" and "directed", as the first such error in
-input order.  Undecodable input (bad UTF-8, JSON nested past the recursion
-limit) is a FormatError at "$".
+checks, which equal ``_want``'s for decoded JSON; ``_want`` runs only to
+word an error.  A "wildag" edge whose ladder is two [int, int] levels is
+checked and unpacked in one step.  Extra keys are accepted.  A "wildag"
+ladder-shape error (two levels, level 0 free) is raised only after every
+edge's field checks and after "source", "sink" and "directed", as the first
+such error in input order.  Undecodable input (bad UTF-8, JSON nested past
+the recursion limit) is a FormatError at "$".
+
+Bytes are decoded by orjson, a declared dependency, which reads the
+benchmark's largest documents in about half the time of ``json.loads``.
+The standard library decodes the document instead, as UTF-8 and then with
+``json.loads``, and the same checks run on that, whenever:
+
+* orjson rejects it (NaN, Infinity, 1e400, lone surrogates, bad UTF-8), or
+  the checks raise a FormatError on orjson's values.  orjson reads an
+  integer outside 64 bits as a float, which no exact int check passes;
+* it has more "[" and "{" than ``_ORJSON_MAX_OPENS``; or
+* it has more "[" and "{" than the parsed problem's own objects and arrays,
+  so something nests outside the schema: an object or array under an
+  extra or repeated key, or a bracket inside a string.  orjson reads any
+  depth, where ``json.loads`` stops at the recursion limit.
+
+So every error is worded by the stdlib path, and orjson's result is kept
+only for documents nested no deeper than the schema, where both decoders
+build the same values.  ``str`` input always takes the stdlib path.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
+
+import orjson
 
 from ._util import fnv1a64
 from .instances import (
@@ -44,6 +65,13 @@ from .instances import (
 )
 
 MAX_VERTICES = 1 << 20
+# orjson 3.8 builds nested values recursively, with about 64 bytes of C
+# stack a level, and a document nested past the stack ends the process
+# (~130k levels on an 8 MiB stack); 1 << 15 levels take about 2 MiB.  A
+# document's depth is at most its count of "[" and "{", so one with more is
+# read by the standard library only.
+_ORJSON_MAX_OPENS = 1 << 15
+_EDGE_FIELDS = itemgetter("id", "u", "v", "ladder")
 
 
 class FormatError(ValueError):
@@ -77,17 +105,64 @@ def _want(doc: dict, key: str, kind, location: str):
 
 def parse(data: bytes | str) -> Problem:
     """Parse and validate an instance document."""
+    if type(data) is bytes:
+        opens = data.count(b"[") + data.count(b"{")
+        if opens <= _ORJSON_MAX_OPENS:
+            try:
+                problem = _read(orjson.loads(data))
+            except (orjson.JSONDecodeError, FormatError):
+                pass
+            else:
+                if opens == _containers(problem):
+                    return problem
+    return _read(_stdlib_loads(data))
+
+
+def _stdlib_loads(data: bytes | str):
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"invalid UTF-8: {exc}") from None
     try:
-        doc = json.loads(data)
+        return json.loads(data)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise FormatError("invalid JSON: nested too deeply") from None
+
+
+def _containers(problem: Problem) -> int:
+    """The objects and arrays in a document of the problem: the top object,
+    the edge list, and each edge's object, ladder and ladder steps."""
+    if problem.kind == "wildag":
+        return 2 + 4 * problem.dag.m
+    return 2 + sum(2 + len(e.ladder) for e in problem.graph.edges)
+
+
+def _edge_fields(entry, i: int) -> tuple:
+    """An edge's id, u, v and ladder; FormatError at the first bad field."""
+    if type(entry) is not dict:
+        raise FormatError("edge must be an object", f"$.edges[{i}]")
+    eid, u, v, ladder = entry.get("id"), entry.get("u"), entry.get("v"), entry.get("ladder")
+    if (type(eid) is not int or type(u) is not int or type(v) is not int
+            or type(ladder) is not list):
+        for key, want in (("id", int), ("u", int), ("v", int), ("ladder", list)):
+            _want(entry, key, want, f"$.edges[{i}]")
+    return eid, u, v, ladder
+
+
+def _check_ladder(ladder: list, i: int) -> None:
+    """Raise FormatError at the first ladder step that is not [int, int]."""
+    for j, step in enumerate(ladder):
+        if (type(step) is not list or len(step) != 2
+                or type(step[0]) is not int or type(step[1]) is not int):
+            raise FormatError("ladder entry must be [length, cost]",
+                              f"$.edges[{i}].ladder[{j}]")
+
+
+def _read(doc) -> Problem:
+    """The problem a decoded document describes, checked and validated."""
     if not isinstance(doc, dict):
         raise FormatError("top-level value must be an object")
     kind = _want(doc, "kind", str, "$")
@@ -101,32 +176,29 @@ def parse(data: bytes | str) -> Problem:
         raise FormatError("budget must be nonnegative", "$.budget")
     raw_edges = _want(doc, "edges", list, "$")
     imst = kind == "imst"
+    new = tuple.__new__  # builds a record without its generated __new__ frame
     edges = []
     shape_error = None  # first wildag ladder-shape error; raised after every field check
     decrease = False  # a shortest-path instance stores decreasing ladders in the same format
     for i, entry in enumerate(raw_edges):
-        if type(entry) is not dict:
-            raise FormatError("edge must be an object", f"$.edges[{i}]")
-        eid, u, v, ladder = entry.get("id"), entry.get("u"), entry.get("v"), entry.get("ladder")
-        if (type(eid) is not int or type(u) is not int or type(v) is not int
-                or type(ladder) is not list):
-            for key, want in (("id", int), ("u", int), ("v", int), ("ladder", list)):
-                _want(entry, key, want, f"$.edges[{i}]")
-        for j, step in enumerate(ladder):
-            if (type(step) is not list or len(step) != 2
-                    or type(step[0]) is not int or type(step[1]) is not int):
-                raise FormatError("ladder entry must be [length, cost]",
-                                  f"$.edges[{i}].ladder[{j}]")
         if imst:
-            edges.append(UpgradableEdge(eid, u, v, tuple(
-                ImprovementLevel(l, c) for l, c in ladder)))
+            eid, u, v, ladder = _edge_fields(entry, i)
+            _check_ladder(ladder, i)
+            edges.append(new(UpgradableEdge, (eid, u, v, tuple(
+                [new(ImprovementLevel, step) for step in ladder]))))
             continue
-        if len(ladder) == 2:
-            (l, c0), (h, q) = ladder
-            if c0 == 0:
-                edges.append(DagEdge(eid, u, v, l, h, q))
-                decrease = decrease or h < l
-                continue
+        try:
+            eid, u, v, ((l, c0), (h, q)) = _EDGE_FIELDS(entry)
+        except (KeyError, TypeError, ValueError):
+            l = None
+        if (type(l) is int and type(c0) is int and type(h) is int and type(q) is int
+                and type(eid) is int and type(u) is int and type(v) is int and c0 == 0):
+            edges.append(new(DagEdge, (eid, u, v, l, h, q)))
+            decrease = decrease or h < l
+            continue
+        # not two [int, int] levels, level 0 free: find the first error in the edge
+        ladder = _edge_fields(entry, i)[3]
+        _check_ladder(ladder, i)
         if shape_error is None:
             shape_error = FormatError("wildag ladders must have exactly two levels"
                                       if len(ladder) != 2 else "level 0 must cost 0",

@@ -1,10 +1,14 @@
 """Import hygiene for the package, checked with the standard library's ast
 (no linter is a dependency): every top-level import in a module is used, or
 marked ``# noqa: F401`` and rebound by the benchmark's tracer, every private
-module-level name is read somewhere else in the package, and every name the
-package exports resolves."""
+module-level name is read somewhere else in the package, every name the
+package exports resolves, and every top-level import is of the standard
+library, the package itself or a dependency declared in pyproject.toml."""
 
 import ast
+import re
+import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,7 @@ import netupgrade
 SRC = Path(netupgrade.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def unread_imports(source: str) -> list[tuple[str, int, bool]]:
@@ -164,3 +169,49 @@ def test_dead_private_check_flags_names_read_only_by_their_own_definition():
 def test_every_exported_name_resolves():
     missing = [name for name in netupgrade.__all__ if not hasattr(netupgrade, name)]
     assert missing == []
+
+
+def declared_dependencies(pyproject: str) -> set[str]:
+    """Import names of the ``[project].dependencies`` requirements: each
+    requirement's distribution name, lower-cased, with "-" read as "_"."""
+    requirements = tomllib.loads(pyproject)["project"].get("dependencies", [])
+    return {re.match(r"[A-Za-z0-9._-]+", r).group().lower().replace("-", "_")
+            for r in requirements}
+
+
+def undeclared_imports(source: str, declared: set[str]) -> list[str]:
+    """Top-level modules imported at module level that are neither the
+    standard library, the package (relative or ``netupgrade``), nor declared."""
+    allowed = set(sys.stdlib_module_names) | declared | {"netupgrade", "__future__"}
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append((node.lineno, node.module.split(".")[0]))
+    return [f"line {line}: {name}" for line, name in names if name not in allowed]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_every_top_level_import_is_stdlib_the_package_or_declared(path):
+    declared = declared_dependencies(PYPROJECT.read_text())
+    assert undeclared_imports(path.read_text(), declared) == []
+
+
+def test_undeclared_import_check_flags_only_unlisted_third_party_modules():
+    pyproject = ('[project]\nname = "x"\n'
+                 'dependencies = ["orjson>=3.8", "Typing-Extensions ; python_version<\'3.12\'"]\n')
+    declared = declared_dependencies(pyproject)
+    assert declared == {"orjson", "typing_extensions"}
+    source = ("from __future__ import annotations\n"
+              "import json, os.path\n"
+              "import numpy as np\n"
+              "import orjson\n"
+              "from . import generate\n"
+              "from .instances import DagEdge\n"
+              "from netupgrade.cli import main\n"
+              "from scipy.optimize import milp\n"
+              "import typing_extensions\n"
+              "def f():\n"
+              "    import networkx\n")
+    assert undeclared_imports(source, declared) == ["line 3: numpy", "line 8: scipy"]

@@ -11,6 +11,8 @@ from netupgrade.instances import (
     UpgradableGraph,
     evaluate_path,
     expand_to_multigraph,
+    reachable_from,
+    reaching_to,
     require_valid,
     solution_from_choices,
     validate,
@@ -112,6 +114,19 @@ def test_dag_valid_and_topological_order():
 def test_dag_cycle_detected():
     d = DagInstance(2, (DagEdge(0, 0, 1, 1, 1, 0), DagEdge(1, 1, 0, 1, 1, 0)), 0, 1)
     assert "not acyclic" in validate(d)
+
+
+@pytest.mark.parametrize("endpoint", [-1, -3, 3, 10**20])
+def test_endpoints_outside_the_vertex_range_never_index_from_the_end(endpoint):
+    # a negative endpoint once read as a list index from the end, so the
+    # order listed -1 and left out vertex 2
+    d = DagInstance(3, (DagEdge(0, 0, 1, 1, 2, 1), DagEdge(1, 1, endpoint, 1, 2, 1)), 0, 2)
+    for walk in (d.topological_order, lambda: reachable_from(d, 0),
+                 lambda: reaching_to(d, 2)):
+        with pytest.raises(InvalidInstanceError) as exc:
+            walk()
+        assert exc.value.violations == ["edge 1: endpoint out of range"]
+    assert validate(d) == ["edge 1: endpoint out of range"]
 
 
 def test_dag_improvement_direction():

@@ -8,6 +8,7 @@ problems whose canonical bytes match and round-trip byte-stably.
 
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -279,3 +280,137 @@ def test_parse_matches_the_reference(data):
     canonical = serialize(problem)
     assert canonical == serialize(expected[1])
     assert serialize(parse(canonical)) == canonical
+
+
+# --- decoders ------------------------------------------------------------------
+# parse decodes bytes with orjson and falls back to json.loads; the reference
+# uses json.loads alone.  These documents are where the two decoders differ.
+
+PLACE = 987_654_321  # stands in for a value that json.dumps cannot write
+
+
+def _small_documents() -> list[dict]:
+    dag = generate.gen_random_dag(4, 4, seed=3)
+    graph = generate.gen_random_graph(4, 4, levels=2, seed=3)
+    return [json.loads(serialize(Problem("wildag", 3, dag=dag))),
+            json.loads(serialize(Problem("imst", 3, graph=graph)))]
+
+
+def _int_fields(doc: dict) -> list[tuple]:
+    """The path of every int field of a canonical document."""
+    paths = [(key,) for key in ("n", "budget", "source", "sink") if key in doc]
+    for i, edge in enumerate(doc["edges"]):
+        paths += [("edges", i, key) for key in ("id", "u", "v")]
+        paths += [("edges", i, "ladder", j, k)
+                  for j in range(len(edge["ladder"])) for k in (0, 1)]
+    return paths + [("extra",)]  # a key parse ignores
+
+
+def _with(doc: dict, path: tuple, text: str) -> bytes:
+    """The document with the value at ``path`` written as ``text``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = PLACE
+    return json.dumps(doc).replace(str(PLACE), text).encode()
+
+
+def _same_outcome(data: bytes) -> None:
+    got, expected = _outcome(parse, data), _outcome(reference_parse, data)
+    assert got == expected, data
+
+
+def test_integers_past_64_bits_parse_as_the_reference_does():
+    cases = 0
+    for doc in _small_documents():
+        for path in _int_fields(doc):
+            for value in (2**63, 2**64, -2**63 - 1, 10**30):
+                _same_outcome(_with(doc, path, str(value)))
+                cases += 1
+    assert cases > 200
+
+
+def test_non_finite_numbers_parse_as_the_reference_does():
+    for doc in _small_documents():
+        for path in _int_fields(doc):
+            for text in ("NaN", "Infinity", "-Infinity", "1e400"):
+                _same_outcome(_with(doc, path, text))
+
+
+def test_a_lone_surrogate_kind_parses_as_the_reference_does():
+    for doc in _small_documents():
+        data = _with(doc, ("kind",), '"\\ud800"')
+        _same_outcome(data)
+        with pytest.raises(FormatError, match="unknown kind"):
+            parse(data)
+
+
+@pytest.mark.parametrize("depth", [1, 5, 50, 400])
+def test_nesting_inside_edges_parses_as_the_reference_does(depth):
+    nested = "[" * depth + "]" * depth
+    for doc in _small_documents():
+        _same_outcome(_with(doc, ("edges",), f"[{nested}]"))
+        _same_outcome(_with(doc, ("edges", 0, "u"), nested))
+        _same_outcome(_with(doc, ("edges", 1, "ladder"), f"[{nested}, [1, 0]]"))
+        _same_outcome(_with(doc, ("edges", 0, "note"), nested))
+        _same_outcome(_with(doc, ("extra",), nested))
+
+
+def test_nesting_past_the_recursion_limit_is_an_error_wherever_it_hides():
+    # orjson reads these, json.loads does not: a value under an extra key or
+    # under a key that a later copy replaces must still fail to parse
+    nested = "[" * 5000 + "]" * 5000
+    for doc in _small_documents():
+        data = _with(doc, ("edges", 0, "note"), nested)
+        for document in (data, _with(doc, ("extra",), nested),
+                         data.replace(b'{"kind"', b'{"kind":' + nested.encode() + b',"kind"')):
+            with pytest.raises(FormatError) as exc:
+                parse(document)
+            assert str(exc.value) == "$: invalid JSON: nested too deeply"
+
+
+def test_stdlib_only_results_keep_their_text():
+    dag_doc, _ = _small_documents()
+    with pytest.raises(FormatError) as exc:
+        parse(_with(dag_doc, ("n",), str(10**30)))
+    assert str(exc.value) == f"$.n: vertex count exceeds {MAX_VERTICES}"
+    with pytest.raises(FormatError) as exc:
+        parse(_with(dag_doc, ("edges", 1, "v"), str(10**20)))
+    assert str(exc.value) == "$: invalid instance: edge 1: endpoint out of range"
+
+
+def _count_decodes(monkeypatch) -> dict:
+    from netupgrade import serialization
+
+    calls = {"orjson": 0, "json": 0}
+    for name, module in (("orjson", serialization.orjson), ("json", serialization.json)):
+        def counted(data, real=module.loads, name=name):
+            calls[name] += 1
+            return real(data)
+        monkeypatch.setattr(module, "loads", counted)
+    return calls
+
+
+@pytest.mark.parametrize("problem", [
+    Problem("wildag", 5, dag=generate.gen_random_dag(30, 90, seed=8)),
+    Problem("imst", 5, graph=generate.gen_random_graph(30, 90, levels=3, seed=8)),
+], ids=["wildag", "imst"])
+def test_a_valid_document_is_decoded_once_by_orjson_alone(monkeypatch, problem):
+    data = serialize(problem)
+    calls = _count_decodes(monkeypatch)
+    assert serialize(parse(data)) == data
+    assert calls == {"orjson": 1, "json": 0}
+
+
+def test_a_bracket_outside_the_schema_sends_the_document_to_json(monkeypatch):
+    dag_doc, _ = _small_documents()
+    canonical = reference_parse(json.dumps(dag_doc).encode())
+    for data in (_with(dag_doc, ("extra",), '"x["'), _with(dag_doc, ("extra",), "[]"),
+                 _with(dag_doc, ("extra",), ",".join(["[]"] * 40_000).join("[]"))):
+        calls = _count_decodes(monkeypatch)
+        assert parse(data) == canonical
+        assert calls["json"] == 1
+        monkeypatch.undo()
+    # too many brackets to be sure of orjson's stack: json alone decodes it
+    assert calls["orjson"] == 0
