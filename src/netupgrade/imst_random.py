@@ -126,9 +126,9 @@ def minimize_transform(graph: UpgradableGraph) -> UpgradableGraph:
 
     Maps min-instances (ladders with nonincreasing lengths, level 0 the worst
     value at cost 0) to max-instances.  Raises InvalidInstanceError on a graph
-    that fails validation, a non-monotone ladder among others.
+    that fails validation as "decrease", a rising ladder among others.
     """
-    require_valid(graph)
+    require_valid(graph, improvement="decrease")
     big_m = max((lvl.length for e in graph.edges for lvl in e.ladder), default=0)
     return _map_lengths(graph, lambda x: big_m - x)
 
@@ -165,10 +165,11 @@ def imst_solve(graph: UpgradableGraph, budget: int, config: RandomizedConfig,
 
     Always returns a tree with total_spend <= budget; the all-level-0 maximum
     spanning tree is the fallback when every sampled trial lands over budget.
-    For ``minimize`` the lengths are reflected (max-base equivalence on the
-    graphic matroid), solved as maximization, and reported in original units.
+    For ``minimize`` the ladders must fall (else rise), and their lengths are
+    reflected (max-base equivalence on the graphic matroid), solved as
+    maximization, and reported in original units.
     """
-    require_valid(graph)
+    require_valid(graph, improvement="decrease" if minimize else "increase")
     if budget < 0:
         raise DisconnectedGraphError("no budget-feasible spanning tree exists")
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)

@@ -7,6 +7,10 @@ Two instance families:
 * ``DagInstance`` -- a DAG with per-edge base length, improved length and
   improvement cost, plus a source and a sink.
 
+Both kinds carry a direction, ``validate``'s ``improvement``: ladder lengths
+never fall under "increase" (maximizing solvers) and never rise under
+"decrease" (minimizing ones); costs never fall.
+
 Edges, ladder levels and multigraph copies are ``NamedTuple`` records, cheap
 to build; validation reads them by unpacking.  Instances are immutable
 after construction and every operation here is pure, so a fact derived from
@@ -34,7 +38,7 @@ from itertools import chain
 from operator import ge, itemgetter, le
 from typing import NamedTuple
 
-from ._util import UnionFind
+from ._util import UnionFind, kruskal
 
 
 class InvalidInstanceError(ValueError):
@@ -253,24 +257,22 @@ def st_edges(dag: DagInstance) -> tuple[DagEdge, ...]:
 
 
 def is_connected(n: int, pairs) -> bool:
-    if n <= 1:
-        return True
-    uf = UnionFind(n)
-    for u, v in pairs:
-        uf.union(u, v)
-    return uf.components() == 1
+    """Whether the (u, v) pairs join all n vertices: Kruskal finds n - 1 joins."""
+    return n <= 1 or len(kruskal([(None, u, v) for u, v in pairs], UnionFind(n), n - 1)) == n - 1
 
 
 # solvers look edges up by id as edges[edge_id]
 _NOT_DENSE = "edge ids are not dense in [0, m) in list order (edges[i].id == i)"
 
 
-def _validate_graph(graph: UpgradableGraph) -> list[str]:
+def _validate_graph(graph: UpgradableGraph, improvement: str) -> list[str]:
     bad: list[str] = []
     if graph.n < 1:
         bad.append("vertex count must be positive")
         return bad
     n, seen_ids = graph.n, set()
+    in_order, direction = ((ge, "nonincreasing") if improvement == "decrease"
+                           else (le, "nondecreasing"))
     endpoints_in_range = True
     for eid, u, v, ladder in graph.edges:
         if eid in seen_ids:
@@ -291,11 +293,9 @@ def _validate_graph(graph: UpgradableGraph) -> list[str]:
                 bad.append(f"edge {eid}: negative length or cost")
                 break
         lengths, costs = zip(*ladder)
-        increasing = all(a <= b for a, b in zip(lengths, lengths[1:]))
-        decreasing = all(a >= b for a, b in zip(lengths, lengths[1:]))
-        if not (increasing or decreasing):
-            bad.append(f"edge {eid}: ladder lengths not monotone")
-        if not all(a <= b for a, b in zip(costs, costs[1:])):
+        if not all(map(in_order, lengths, lengths[1:])):
+            bad.append(f"edge {eid}: ladder lengths not {direction}")
+        if not all(map(le, costs, costs[1:])):
             bad.append(f"edge {eid}: ladder costs not nondecreasing")
     if any(e.id != i for i, e in enumerate(graph.edges)):
         bad.append(_NOT_DENSE)
@@ -360,11 +360,12 @@ def _validate_dag(dag: DagInstance, improvement: str) -> list[str]:
 def validate(instance, *, improvement: str = "increase") -> list[str]:
     """Return all invariant violations; an empty list means the instance is valid.
 
-    ``improvement`` selects the expected direction for DAG ladders:
-    "increase" for longest-path instances, "decrease" for shortest-path ones.
+    ``improvement`` selects the direction every ladder must run in:
+    "increase" (lengths never fall) for the maximizing solvers, "decrease"
+    (lengths never rise) for the minimizing ones.
     """
     if isinstance(instance, UpgradableGraph):
-        return _validate_graph(instance)
+        return _validate_graph(instance, improvement)
     if isinstance(instance, DagInstance):
         return _validate_dag(instance, improvement)
     raise TypeError(f"cannot validate {type(instance).__name__}")

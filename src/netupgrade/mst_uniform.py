@@ -1,12 +1,13 @@
 """Half-approximation for the uniform-cost improvable maximum spanning tree.
 
-Builds two candidate trees: a maximum spanning tree on base lengths, and a
-size-capped greedy forest on improved lengths extended to a tree by base
-edges.  The longer of the two is within a factor 1/2 of the optimum for any
-improvement cap k.  The base-length tree and its totals, the two-level
-ladder check and the two edge orders Kruskal reads (by base and by improved
-length) do not depend on k, so each is computed once per graph and kept in
-the graph's memo.
+One candidate tree: the size-capped greedy forest F_k on improved lengths,
+extended to a spanning tree by base edges.  On rising two-level ladders it
+is at least l1(F_k), and at least l0(T_base) for the base-length maximum
+spanning tree T_base (F_k outweighs the T_base edges it displaces, and the
+fill completes it best).  OPT(k) <= l0(T_base) + l1(F_k), so it is at least
+OPT(k) / 2.  The ladder check and the two edge orders Kruskal reads do not
+depend on k, so each is kept in the graph's memo, as is ``base_tree``, the
+randomized solver's fallback.
 """
 
 from __future__ import annotations
@@ -61,31 +62,23 @@ def base_tree(graph: UpgradableGraph) -> tuple[int, ...]:
 
 
 def uimst_half_approx(graph: UpgradableGraph, k: int) -> TreeSolution:
-    """Best of the base-length tree and the capped improved-forest tree.
+    """The capped improved-forest tree.
 
     Guarantees total length >= OPT(k) / 2 while using at most k improved
-    edges.  Requires two-level ladders.
+    edges.  Requires two-level ladders that rise ("increase").
     """
     require_valid(graph)
     memo = _memo(graph)
-    if "base_totals" not in memo:  # a graph that fails the ladder check is never memoized
+    if "two_level" not in memo:  # a graph that fails the check is never memoized
         if any(len(e.ladder) != 2 for e in graph.edges):
             raise ValueError("uimst_half_approx needs two-level ladders")
-        sol1 = solution_from_choices(graph, dict.fromkeys(base_tree(graph), 0))
-        memo["base_totals"] = sol1.total_length, sol1.total_spend
+        memo["two_level"] = True
     if k < 0:
         raise ValueError("cap must be nonnegative")
 
     # the fill skips each forest edge's base copy, whose endpoints the forest joins
     uf = UnionFind(graph.n)
     forest = [e[0] for e in kruskal(_level_order(graph, 1), uf, k)]
-    tree2 = forest + [e[0] for e in kruskal(_level_order(graph, 0), uf, graph.n - 1 - len(forest))]
+    tree = forest + [e[0] for e in kruskal(_level_order(graph, 0), uf, graph.n - 1 - len(forest))]
     upgraded = set(forest)
-    choices2 = {eid: int(eid in upgraded) for eid in tree2}
-    sol2 = solution_from_choices(graph, choices2)
-
-    # on a tie prefer the improved-forest tree
-    length, spend = memo["base_totals"]
-    if length > sol2.total_length:
-        return TreeSolution(dict.fromkeys(base_tree(graph), 0), length, spend)
-    return sol2
+    return solution_from_choices(graph, {eid: int(eid in upgraded) for eid in tree})

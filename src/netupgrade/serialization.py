@@ -14,11 +14,12 @@ any order and stores them sorted by id, because solvers look an edge up as
 per-vertex arrays stay small.
 
 Every document is read in one checked pass over its edges, which builds
-the instance's edge records and notes whether any "wildag" ladder decreases
-(a shortest-path instance); the instance is then validated once, in that
-direction.  Fields are tested with exact ``type(x) is int``/``list``/``dict``
-checks, which equal ``_want``'s for decoded JSON; ``_want`` runs only to
-word an error.  A "wildag" edge whose ladder is two [int, int] levels is
+the instance's edge records and notes whether any ladder ends below its
+level 0 (a minimizing instance, "decrease"); the instance is then validated
+once, in that direction, and errors are worded against the rising rule.
+Fields are tested with exact ``type(x) is int``/``list``/``dict`` checks,
+which equal ``_want``'s for decoded JSON; ``_want`` runs only to word an
+error.  A "wildag" edge whose ladder is two [int, int] levels is
 checked and unpacked in one step.  Extra keys are accepted.  A "wildag"
 ladder-shape error (two levels, level 0 free) is raised only after every
 edge's field checks and after "source", "sink" and "directed", as the first
@@ -179,13 +180,14 @@ def _read(doc) -> Problem:
     new = tuple.__new__  # builds a record without its generated __new__ frame
     edges = []
     shape_error = None  # first wildag ladder-shape error; raised after every field check
-    decrease = False  # a shortest-path instance stores decreasing ladders in the same format
+    decrease = False  # a minimizing instance stores falling ladders in the same format
     for i, entry in enumerate(raw_edges):
         if imst:
             eid, u, v, ladder = _edge_fields(entry, i)
             _check_ladder(ladder, i)
             edges.append(new(UpgradableEdge, (eid, u, v, tuple(
                 [new(ImprovementLevel, step) for step in ladder]))))
+            decrease = decrease or bool(ladder) and ladder[-1][0] < ladder[0][0]
             continue
         try:
             eid, u, v, ((l, c0), (h, q)) = _EDGE_FIELDS(entry)
@@ -208,7 +210,7 @@ def _read(doc) -> Problem:
         if _want(doc, "directed", bool, "$"):
             raise FormatError('"imst" instances must have "directed": false', "$.directed")
         graph = UpgradableGraph(n, tuple(edges))
-        _require_valid(graph, "increase")
+        _require_valid(graph, "decrease" if decrease else "increase")
         return Problem("imst", budget, graph=graph)
     source = _want(doc, "source", int, "$")
     sink = _want(doc, "sink", int, "$")

@@ -373,3 +373,43 @@ def test_verify_passes_a_zero_epsilon_or_delta_to_the_solver(algo, flag, message
     code, _out, err = run(capsys, "verify", "--algo", algo, "--count", "1",
                           "--size", "5", "--trials", "2", flag, "0")
     assert (code, err) == (2, f"error: {message}\n")
+
+
+def _falling_graph_file(tmp_path):
+    """The golden graph with every ladder's lengths reversed: a minimizing
+    instance, whose upgrades never lengthen an edge."""
+    doc = json.loads(GOLDEN["instances"]["graph"])
+    for edge in doc["edges"]:
+        lengths = [length for length, _cost in reversed(edge["ladder"])]
+        edge["ladder"] = [[length, cost] for length, (_l, cost) in zip(lengths, edge["ladder"])]
+    path = tmp_path / "falling.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_uimst_rejects_a_falling_graph_with_one_line(tmp_path, capsys):
+    path = _falling_graph_file(tmp_path)
+    code, out, err = run(capsys, "solve", "--algo", "uimst", "--k", "2", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: edge ") and err.count("\n") == 1
+    assert "ladder lengths not nondecreasing" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--algo", "imst", "--minimize"],
+    ["--algo", "twocost"],
+    ["--algo", "exact-imst"],
+    ["--algo", "exact-twocost"],
+])
+def test_a_falling_graph_solves_where_either_direction_is_read(argv, tmp_path, capsys):
+    code, out, err = run(capsys, "solve", "--in", str(_falling_graph_file(tmp_path)),
+                         *argv, "--no-timing")
+    assert (code, err) == (0, "") and json.loads(out)["feasible"] is True
+
+
+def test_minimize_rejects_the_rising_golden_graph(tmp_path, capsys):
+    path = _golden_files(tmp_path)["graph"]
+    code, out, err = run(capsys, "solve", "--algo", "imst", "--minimize", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: edge ") and err.count("\n") == 1
+    assert "ladder lengths not nonincreasing" in err

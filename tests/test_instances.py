@@ -49,7 +49,9 @@ def test_disconnected_graph_reported():
 def test_nonmonotone_ladder_reported():
     g = UpgradableGraph(2, (
         UpgradableEdge(0, 0, 1, (lvl(1, 0), lvl(5, 1), lvl(3, 2))),))
-    assert any("not monotone" in v for v in validate(g))
+    assert any("ladder lengths not nondecreasing" in v for v in validate(g))
+    assert any("ladder lengths not nonincreasing" in v
+               for v in validate(g, improvement="decrease"))
 
 
 def test_duplicate_and_sparse_edge_ids():

@@ -207,7 +207,7 @@ def sample_tree(graph, choices, eps_prime, rng):
 def reference_imst_solve(graph, budget, config, minimize=False):
     """The solver before its relaxation was memoized: validate, shift,
     expand and relax on every call."""
-    assert validate(graph) == []
+    assert validate(graph, improvement="decrease" if minimize else "increase") == []
     assert budget >= 0
     work = minimize_transform(graph) if minimize else graph
     better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
@@ -401,35 +401,37 @@ def reference_uimst(graph, k):
 
 
 def test_uimst_equals_the_unmemoized_solver_for_every_k():
-    for seed in range(60):
-        n = 3 + seed % 8
-        g = generate.gen_random_graph(n, min(n * (n - 1) // 2, 2 * n), max_len=12,
+    small = [(3 + seed % 8, 12, seed) for seed in range(60)]
+    # the benchmark's tree-resample sizes (n = 20-40, m = 2n), with ties and without
+    large = [(n, max_len, seed) for seed, n in enumerate(range(20, 41, 5))
+             for max_len in (12, 100)]
+    for n, max_len, seed in small + large:
+        g = generate.gen_random_graph(n, min(n * (n - 1) // 2, 2 * n), max_len=max_len,
                                       seed=seed)
         for k in range(n + 1):
             assert uimst_half_approx(g, k) == reference_uimst(g, k)
 
 
 def test_uimst_results_stay_fresh_across_repeated_calls():
-    # the base tree's totals and the ladder check are kept on the graph, so a
-    # caller editing one result must not change any later one; on falling
-    # ladders the base-length tree can be the longer candidate
-    base_wins = 0
+    # the ladder check and edge orders are kept on the graph, so a caller
+    # editing one result must not change any later one; a falling copy of the
+    # graph is rejected on every call
     for seed in range(40):
         n = 3 + seed % 6
         g = generate.gen_random_graph(n, min(n * (n - 1) // 2, 2 * n), max_len=12, seed=seed)
-        if seed % 2:
-            g = UpgradableGraph(n, tuple(
-                UpgradableEdge(e.id, e.u, e.v, (ImprovementLevel(e.ladder[1].length, 0),
-                                                ImprovementLevel(e.ladder[0].length,
-                                                                 e.ladder[1].cost)))
-                for e in g.edges))
         for k in range(n):
             first = uimst_half_approx(g, k)
-            base_wins += k > 0 and not first.improved_edges()
             first.choices.clear()
             first.choices[n] = 1
             assert uimst_half_approx(g, k) == reference_uimst(g, k)
-    assert base_wins >= 40
+        flipped = UpgradableGraph(n, tuple(
+            UpgradableEdge(e.id, e.u, e.v, (ImprovementLevel(e.ladder[1].length, 0),
+                                            ImprovementLevel(e.ladder[0].length,
+                                                             e.ladder[1].cost)))
+            for e in g.edges))
+        for k in range(n):
+            with pytest.raises(InvalidInstanceError, match="ladder lengths not nondecreasing"):
+                uimst_half_approx(flipped, k)
 
 
 def test_uimst_ladder_check_is_never_remembered_as_a_pass():
@@ -446,9 +448,9 @@ def test_uimst_ladder_check_is_never_remembered_as_a_pass():
 def test_each_direction_keeps_its_own_plan():
     # one graph solved both ways keeps a separate plan per direction
     g = UpgradableGraph(3, (
-        UpgradableEdge(0, 0, 1, (ImprovementLevel(9, 0), ImprovementLevel(1, 5))),
-        UpgradableEdge(1, 1, 2, (ImprovementLevel(8, 0), ImprovementLevel(1, 5))),
-        UpgradableEdge(2, 0, 2, (ImprovementLevel(2, 0), ImprovementLevel(1, 5))),
+        UpgradableEdge(0, 0, 1, (ImprovementLevel(9, 0), ImprovementLevel(9, 5))),
+        UpgradableEdge(1, 1, 2, (ImprovementLevel(8, 0), ImprovementLevel(8, 5))),
+        UpgradableEdge(2, 0, 2, (ImprovementLevel(2, 0), ImprovementLevel(2, 5))),
     ))
     config = RandomizedConfig(Fraction(1, 2), Fraction(1, 5))
     high = imst_solve(g, 0, config)
