@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
 
 from ._util import as_fraction
@@ -74,7 +75,8 @@ def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, weights):
     is a list indexed by spend 0..top, where top = min(budget, largest head
     spend + price), when top + 1 is at most twice the head pairs read;
     otherwise it is a dict.  So a row costs at most a constant times its
-    candidates, whatever the budget.
+    candidates, whatever the budget.  Both kinds share one fill: a spend
+    missing from the dict reads INF, as an unfilled list entry does.
 
     The path is rebuilt from the source's best length at its smallest spend.
     Each step takes the first out-edge, in out-edge order with base before
@@ -102,37 +104,20 @@ def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, weights):
                 top = t
         if top > budget:
             top = budget
-        if top < 2 * reads:
-            row = [INF] * (top + 1)
-            for e in edges:
-                base, improved, price = weights[e.id]
-                step, lift = sign * base, sign * improved
-                for w, s in pairs[e.head]:
-                    x = w + step
+        row = [INF] * (top + 1) if top < 2 * reads else defaultdict(lambda: INF)
+        for e in edges:
+            base, improved, price = weights[e.id]
+            step, lift = sign * base, sign * improved
+            for w, s in pairs[e.head]:
+                x = w + step
+                if x < row[s]:
+                    row[s] = x
+                s += price
+                if s <= top:
+                    x = w + lift
                     if x < row[s]:
                         row[s] = x
-                    s += price
-                    if s <= top:
-                        x = w + lift
-                        if x < row[s]:
-                            row[s] = x
-            entries = enumerate(row)
-        else:
-            row = {}
-            best = row.get
-            for e in edges:
-                base, improved, price = weights[e.id]
-                step, lift = sign * base, sign * improved
-                for w, s in pairs[e.head]:
-                    x = w + step
-                    if x < best(s, INF):
-                        row[s] = x
-                    s += price
-                    if s <= budget:
-                        x = w + lift
-                        if x < best(s, INF):
-                            row[s] = x
-            entries = sorted(row.items())
+        entries = enumerate(row) if type(row) is list else sorted(row.items())
         kept, floor = [], INF
         for s, w in entries:
             if w < floor:

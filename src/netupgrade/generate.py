@@ -17,6 +17,15 @@ from .instances import (
 from .oracle import knapsack_exact
 
 
+def _add_free_pairs(rng: random.Random, n: int, m: int, pairs: set) -> None:
+    """Top ``pairs`` up to m vertex pairs (u < v): every pair not yet in it is
+    listed, shuffled, and taken from the end of the list."""
+    free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
+    rng.shuffle(free)
+    while len(pairs) < m:
+        pairs.add(free.pop())
+
+
 def gen_random_graph(n: int, m: int, max_len: int = 10, max_cost: int = 10,
                      levels: int = 2, seed: int = 0) -> UpgradableGraph:
     """Random connected simple graph with sorted improvement ladders.
@@ -34,10 +43,7 @@ def gen_random_graph(n: int, m: int, max_len: int = 10, max_cost: int = 10,
     for i in range(1, n):
         a, b = perm[i], perm[rng.randrange(i)]
         pairs.add((min(a, b), max(a, b)))
-    free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
-    rng.shuffle(free)
-    while len(pairs) < m:
-        pairs.add(free.pop())
+    _add_free_pairs(rng, n, m, pairs)
     edges = []
     for eid, (u, v) in enumerate(sorted(pairs)):
         lengths = sorted(rng.randint(0, max_len) for _ in range(levels))
@@ -63,10 +69,7 @@ def gen_random_dag(n: int, m: int, max_len: int = 10, max_cost: int = 10,
     inner = sorted(rng.sample(range(1, n - 1), hops - 2)) if hops > 2 else []
     chain = [0] + inner + [n - 1]
     pairs = set(zip(chain, chain[1:]))
-    free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
-    rng.shuffle(free)
-    while len(pairs) < m:
-        pairs.add(free.pop())
+    _add_free_pairs(rng, n, m, pairs)
     edges = []
     for eid, (u, v) in enumerate(sorted(pairs)):
         base = rng.randint(0, max_len)

@@ -20,10 +20,12 @@ nonnegative.  The scheme:
    Lagrangian multiplier of the budget constraint by a chord (Newton) search
    on the piecewise-linear dual over exact rationals, started from that tree
    and the tree on F_inf.  It ends at two trees, optimal at the same
-   multiplier, that bracket the budget.  The tree a forest S yields costs at
-   most B_S + c_max, where B_S = B - c(S) and c_max is the largest residual
-   cost: it is the exact hit or the first tree of step 3 past B_S.  Every
-   residual tree T' that cheap satisfies
+   multiplier lam*, that bracket the budget: the chord tree at lam* and the
+   search's last over-budget tree, optimal from its own multiplier up to
+   lam*.  The tree a forest S yields costs at most B_S + c_max, where
+   B_S = B - c(S) and c_max is the largest residual cost: it is the exact
+   hit or the first tree of step 3 past B_S.  Every residual tree T' that
+   cheap satisfies
    l(T') <= l(T_lam) - lam*(c(T_lam) - B_S - c_max) at each multiplier
    lam >= 0, since T_lam maximizes l - lam*c.  The search for S ends as soon
    as l(S) plus this bound at a chord iterate (at lam = 0: the longest
@@ -111,8 +113,9 @@ def lambda_search(k: int, copies: Sequence[Copy], budget: int, need: int | None,
     crossing multiplier, or None as soon as a solved tree proves that the
     tree this search yields is shorter than ``need`` (module docstring,
     step 2).  ``under`` is the chord tree at the crossing, and ``over`` the
-    optimum just below it, whose ties go to the costlier copy.  ``copies``
-    are in (cost, copy id) order, as ``lagrangian_tree`` needs.
+    search's last over-budget tree, optimal from its own multiplier up to
+    the crossing.  ``copies`` are in (cost, copy id) order, as
+    ``lagrangian_tree`` needs.
     """
     p_lo = at_zero
     _, _, _, lengths, costs = zip(*copies) if copies else ((),) * 5
@@ -141,14 +144,12 @@ def lambda_search(k: int, copies: Sequence[Copy], budget: int, need: int | None,
             p_lo = under
         else:
             p_hi = under
-    # at lam every key p*c - q*l is an integer, so lowering lam by less than
-    # 1/(q*c_max) keeps unequal keys in order and puts the costlier copy first
-    # among equal ones: the over-budget optimum left of the crossing
-    over = lagrangian_tree(k, copies, lam - Fraction(1, q * (c_max + 1)))
-    assert over.cost > budget, "no over-budget tree left of the crossing"
-    assert q * (over.length - under.length) == p * (over.cost - under.cost), \
+    # p_lo is optimal where it was solved and, as its line meets p_hi's on the
+    # dual there, at lam: so on the whole interval between, and it is the
+    # over-budget optimum just left of the crossing
+    assert q * (p_lo.length - under.length) == p * (p_lo.cost - under.cost), \
         "bracketing trees are not both optimal at the crossing multiplier"
-    return LambdaSearchResult(lam, under, over)
+    return LambdaSearchResult(lam, under, p_lo)
 
 
 def _tree_path(copies_by_id, tree_ids, a: int, b: int) -> list[int]:

@@ -167,7 +167,8 @@ def test_half_approx_guarantee_random(seed, n):
 
 
 def test_tie_prefers_improved_forest_tree():
-    # both candidate trees have length 4; the improved one must win
+    # edges 0 and 1 tie at improved length 2; Kruskal takes the improved
+    # copy of edge 0 first, so it is the one upgrade
     g = UpgradableGraph(3, (
         UpgradableEdge(0, 0, 1, (lvl(2, 0), lvl(2, 1))),
         UpgradableEdge(1, 1, 2, (lvl(2, 0), lvl(2, 1))),

@@ -1,7 +1,8 @@
 """``parse`` against a frozen reference copy on mutated canonical documents.
 
 The reference below is the per-field parser as it stood before the checked
-pass for "wildag" documents was added.  Every document either makes both
+pass for "wildag" documents was added, with the ladder-direction rule that
+tree documents now share with DAG documents.  Every document either makes both
 raise ``FormatError`` with the same text, or makes both return equal
 problems whose canonical bytes match and round-trip byte-stably.
 """
@@ -100,10 +101,14 @@ def reference_parse(data: bytes | str) -> Problem:
 
 
 def _require_valid(instance, location: str) -> None:
-    # shortest-path instances store decreasing ladders in the same format
-    improvement = "increase"
-    if isinstance(instance, DagInstance) and any(e.improved < e.base for e in instance.edges):
-        improvement = "decrease"
+    # minimizing instances store falling ladders in the same format: a DAG edge
+    # whose improved length is below its base, a tree ladder ending below level 0
+    if isinstance(instance, DagInstance):
+        falling = any(e.improved < e.base for e in instance.edges)
+    else:
+        falling = any(e.ladder and e.ladder[-1].length < e.ladder[0].length
+                      for e in instance.edges)
+    improvement = "decrease" if falling else "increase"
     if validate(instance, improvement=improvement):
         # errors are reported against the longest-path rules in either case
         violations = validate(instance)
@@ -264,10 +269,16 @@ def _ladder_mutant(*, source=None, short_last=False, extra_key=False) -> bytes:
     return json.dumps(doc).encode()
 
 
+# a tree whose one ladder falls: a minimizing instance, valid as "decrease"
+FALLING_TREE = (b'{"kind":"imst","n":2,"budget":0,"edges":[{"id":0,"u":0,"v":1,'
+                b'"ladder":[[4,0],[0,8]]}],"directed":false}')
+
+
 @given(documents())
 @example(_ladder_mutant(source=True))
 @example(_ladder_mutant(short_last=True))
 @example(_ladder_mutant(extra_key=True))
+@example(FALLING_TREE)
 @settings(max_examples=400, deadline=None)
 def test_parse_matches_the_reference(data):
     got, expected = _outcome(parse, data), _outcome(reference_parse, data)

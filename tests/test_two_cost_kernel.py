@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from netupgrade import generate
+from netupgrade import generate, two_cost
 from netupgrade._util import UnionFind
 from netupgrade.instances import DisconnectedGraphError, MultiGraph, expand_to_multigraph
 from netupgrade.two_cost import (
@@ -217,6 +217,33 @@ def test_lagrangian_kernel_matches_the_tuple_key_solver_where_keys_tie():
         assert _search(mg.n, ordered, budget, need) == expected, (mg, budget, need)
         searches += isinstance(expected, LambdaSearchResult)
     assert searches >= 50
+
+
+def test_chord_searches_of_several_steps_match_the_tuple_key_solver(monkeypatch):
+    # at n = 20-40 with lengths up to 100 each search takes several chord
+    # steps, so its over-budget tree comes from a late step, not multiplier 0
+    solves = []
+    real = two_cost.lagrangian_tree
+
+    def counted(*args):
+        solves.append(args[2])  # the multiplier
+        return real(*args)
+
+    monkeypatch.setattr(two_cost, "lagrangian_tree", counted)
+    rng = random.Random(3141)
+    for case in range(10):
+        n = rng.randint(20, 40)
+        g = generate.gen_random_graph(n, 2 * n, max_len=100, max_cost=(10, 100)[case % 2],
+                                      levels=rng.choice([2, 3]), seed=rng.randrange(1 << 30))
+        copies = _as_tuples(expand_to_multigraph(g))
+        ordered = sorted(copies, key=lambda c: (c[4], c[0]))
+        budget = rng.randint(0, real(n, ordered, Fraction(0)).cost - 1)
+        solves.clear()
+        expected = old_lambda_search(n, copies, budget)
+        assert isinstance(expected, LambdaSearchResult)
+        assert _search(n, ordered, budget) == expected, (g, budget)
+        # one solve above the total length, then the chord steps
+        assert len(solves) - 1 >= 3, len(solves)
 
 
 def test_one_vertex_with_no_copies():
