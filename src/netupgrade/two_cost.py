@@ -30,7 +30,12 @@ nonnegative.  The scheme:
    lam >= 0, since T_lam maximizes l - lam*c.  The search for S ends as soon
    as l(S) plus this bound at a chord iterate (at lam = 0: the longest
    residual tree) is strictly below the longest tree found so far; a forest
-   that could tie still reaches the copy-id tie-break.
+   that could tie still reaches the copy-id tie-break.  The solve remembers
+   lam^, the lam* of the first search that completes, and builds the light
+   copies' greedy forest in their order at lam^ once, as step 1 builds F_0:
+   relabelled through a later forest's components it holds that residual's
+   tree at lam^.  So each later forest with an incumbent is bounded at lam^,
+   with c_max the largest light cost, before its tree at 0 is built.
 3. Walk a chain of single edge exchanges from the under-budget tree toward
    the over-budget one, stopping at the first tree whose cost exceeds the
    residual budget; symmetric basis exchange (Brualdi 1969) gives each
@@ -41,10 +46,11 @@ nonnegative.  The scheme:
 All multiplier arithmetic is exact (fractions over bounded integers), and
 the inner loops run on plain integers.  The light copies are sorted once per
 solve by (cost, copy id), and every residual relabelled from them keeps that
-order; F_0 and F_inf, each read at its one multiplier, list copies of equal
-key there by (cost, id) as well.  At a multiplier p/q each Lagrangian tree
-then sorts by the one integer p*cost - q*length: the sort is stable, so
-equal keys keep the (cost, id) order, the tie-break toward cheaper copies.
+order; F_0, F_inf and the forest at lam^, each read at its one multiplier,
+list copies of equal key there by (cost, id) as well.  At a multiplier p/q
+each Lagrangian tree then sorts by the one integer p*cost - q*length: the
+sort is stable, so equal keys keep the (cost, id) order, the tie-break
+toward cheaper copies.
 The chord search compares Lagrangian values by integer cross-multiplication.
 """
 
@@ -248,10 +254,11 @@ def two_cost_mst(mg: MultiGraph, budget: int, eps: Fraction) -> TwoCostResult:
     zero = kruskal(sorted(light, key=lambda c: (-c[3], c[4], c[0])), UnionFind(mg.n), mg.n - 1)
     inf = kruskal(sorted(light, key=lambda c: (c[4], -c[3], c[0])), UnionFind(mg.n), mg.n - 1)
 
+    probe = _Probe(light)
     best: tuple[int, tuple[int, ...]] | None = None  # (length, sorted ids)
     for subset, labels in _heavy_forests(heavy, mg.n, budget):
         ids = _solve_with_heavy_subset(light, zero, inf, subset, labels, budget,
-                                       None if best is None else best[0])
+                                       None if best is None else best[0], probe)
         if ids is None:
             continue
         key = (sum(copies_by_id[i].length for i in ids), tuple(sorted(ids)))
@@ -262,12 +269,42 @@ def two_cost_mst(mg: MultiGraph, budget: int, eps: Fraction) -> TwoCostResult:
     return TwoCostResult(best[1], best[0], sum(copies_by_id[i].cost for i in best[1]))
 
 
+class _Probe:
+    """The bound of step 2 (module docstring) at one multiplier per solve:
+    ``lam`` is the crossing multiplier of the first residual search that
+    completes, and ``forest`` F_lam, the light copies' greedy forest in their
+    order at ``lam``, built the first time a heavy forest is bounded."""
+
+    def __init__(self, light: Sequence[Copy]):
+        self.light = light
+        # light is in (cost, id) order, so its last copy is the dearest
+        self.c_max = light[-1][4] if light else 0
+        self.lam: Fraction | None = None
+        self.forest: list[Copy] | None = None
+
+    def skips(self, k: int, labels: list[int], budget: int, need: int) -> bool:
+        """True only if every residual tree through ``labels`` that costs at
+        most ``budget`` + c_max is shorter than ``need``; raises
+        DisconnectedGraphError if the residual is disconnected."""
+        if self.lam is None:
+            return False
+        p, q = self.lam.numerator, self.lam.denominator
+        if self.forest is None:
+            n = len(labels)
+            self.forest = kruskal(sorted(self.light, key=lambda c: p * c[4] - q * c[3]),
+                                  UnionFind(n), n - 1)
+        tree = lagrangian_tree(k, _relabel(self.forest, labels), self.lam)
+        return q * tree.length - p * (tree.cost - budget - self.c_max) < q * need
+
+
 def _solve_with_heavy_subset(light: Sequence[Copy], zero: Sequence[Copy],
                              inf: Sequence[Copy], subset: tuple[EdgeCopy, ...],
-                             labels: list[int], budget: int,
-                             incumbent: int | None) -> tuple[int, ...] | None:
+                             labels: list[int], budget: int, incumbent: int | None,
+                             probe: _Probe | None = None) -> tuple[int, ...] | None:
     """Solve the cheap residual of a heavy forest through F_0 = ``zero`` and
-    F_inf = ``inf``, map back (None: skip)."""
+    F_inf = ``inf``, map back (None: skip).  A ``probe`` bounds the forest
+    before its tree at multiplier 0 is built, and keeps the first crossing
+    multiplier the search finds."""
     residual_budget = budget - sum(c.cost for c in subset)
     subset_ids = tuple(c.copy_id for c in subset)
     k = len(labels) - len(subset)
@@ -275,6 +312,9 @@ def _solve_with_heavy_subset(light: Sequence[Copy], zero: Sequence[Copy],
         return subset_ids
     need = None if incumbent is None else incumbent - sum(c.length for c in subset)
     try:
+        if (need is not None and probe is not None
+                and probe.skips(k, labels, residual_budget, need)):
+            return None
         at_zero = lagrangian_tree(k, _relabel(zero, labels), Fraction(0))
         # the tree at multiplier 0 is the longest tree, so it bounds every tree
         # the search can yield, over-budget ones included
@@ -288,5 +328,7 @@ def _solve_with_heavy_subset(light: Sequence[Copy], zero: Sequence[Copy],
         return None
     if found is None:
         return None
+    if probe is not None and probe.lam is None:
+        probe.lam = found.lam_star
     return subset_ids + swap_chain(res, found.under, found.over, found.lam_star,
                                    residual_budget)[-1]

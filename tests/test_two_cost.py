@@ -279,9 +279,10 @@ def _ref_two_cost_mst(mg, budget, eps):
     return TwoCostResult(best[1], best[0], sum(by_id[i].cost for i in best[1]))
 
 
-def _random_mg(rng, n, max_cost=6):
+def _random_mg(rng, n, max_cost=6, max_len=None):
     m = rng.randint(n - 1, min(n * (n - 1) // 2, n + n // 2 + 1))
-    g = generate.gen_random_graph(n, m, max_len=rng.choice([9, 40]), max_cost=max_cost,
+    max_len = rng.choice([9, 40]) if max_len is None else max_len
+    g = generate.gen_random_graph(n, m, max_len=max_len, max_cost=max_cost,
                                   levels=rng.choice([2, 3]), seed=rng.randrange(1 << 30))
     return expand_to_multigraph(g)
 
@@ -375,11 +376,11 @@ def test_heavy_forests_stream_matches_brute_force():
             assert len(rank) == mg.n - len(ids)
 
 
-def _heavy_cases(rng, hs, n_lo, n_hi):
+def _heavy_cases(rng, hs, n_lo, n_hi, max_len=None):
     """(mg, budget, eps) with exactly h heavy copies, for each h in hs."""
     for h in hs:
         while True:
-            mg = _random_mg(rng, rng.randint(n_lo, n_hi), max_cost=30)
+            mg = _random_mg(rng, rng.randint(n_lo, n_hi), max_cost=30, max_len=max_len)
             eps = rng.choice([Fraction(1, 2), Fraction(1, 4)])
             costs = sorted((c.cost for c in mg.copies), reverse=True)
             # eps*budget in [costs[h], costs[h-1]) leaves exactly h heavy copies
@@ -392,19 +393,28 @@ def _heavy_cases(rng, hs, n_lo, n_hi):
 
 def test_dual_abort_cuts_mst_solves_on_the_eager_reference_corpus(monkeypatch):
     # the corpus of test_two_cost_mst_matches_eager_reference_with_heavy_copies;
-    # without the early abort the solver makes 2,349 MST solves on it
-    calls = 0
-    solve = two_cost.lagrangian_tree
+    # without the early abort the solver makes 2,349 MST solves on it, with the
+    # abort alone 1,391 in 315 searches, and with the probe at one remembered
+    # multiplier as well 1,143 in 143 searches
+    calls = searches = 0
+    solve, search = two_cost.lagrangian_tree, two_cost.lambda_search
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return solve(*args)
 
+    def counted_search(*args):
+        nonlocal searches
+        searches += 1
+        return search(*args)
+
     monkeypatch.setattr(two_cost, "lagrangian_tree", counted)
+    monkeypatch.setattr(two_cost, "lambda_search", counted_search)
     for mg, budget, eps in _heavy_cases(random.Random(777), [2, 3, 4, 5, 6, 7, 8] * 2, 10, 16):
         two_cost_mst(mg, budget, eps)
     assert calls <= 1600
+    assert calls <= 1200 and searches <= 160, (calls, searches)
 
 
 def test_two_cost_mst_matches_eager_reference_at_twenty_vertices():
@@ -555,6 +565,42 @@ def test_searches_started_from_the_light_forests_solve_the_plain_searchs_trees(m
     compared.calls = 0
     monkeypatch.setattr(two_cost, "lagrangian_tree", recorded)
     monkeypatch.setattr(two_cost, "lambda_search", compared)
-    for mg, budget, eps in _heavy_cases(random.Random(4321), [2, 4, 6, 8] * 4, 8, 16):
+    for mg, budget, eps in _heavy_cases(random.Random(4321), [2, 4, 6, 8] * 8, 8, 16):
         two_cost_mst(mg, budget, eps)
     assert compared.calls >= 100, compared.calls
+
+
+def test_forests_the_probe_skips_yield_trees_shorter_than_the_incumbent(monkeypatch):
+    # the premise of the probe: a heavy forest it skips, solved again with no
+    # probe and no incumbent, yields no tree or one strictly shorter than the
+    # incumbent, so it could never have become the answer
+    skips, solve = two_cost._Probe.skips, two_cost._solve_with_heavy_subset
+    hits = []
+
+    def recorded(self, *args):
+        hits.append(skips(self, *args))
+        return hits[-1]
+
+    def checked(light, zero, inf, subset, labels, budget, incumbent, probe):
+        hits.clear()
+        ids = solve(light, zero, inf, subset, labels, budget, incumbent, probe)
+        if any(hits):
+            assert ids is None
+            alone = solve(light, zero, inf, subset, labels, budget, None)
+            if alone is not None:
+                length = {c[0]: c[3] for c in [*light, *subset]}
+                assert sum(length[i] for i in alone) < incumbent, (subset, budget)
+            checked.skipped += 1
+        return ids
+
+    checked.skipped = 0
+    monkeypatch.setattr(two_cost._Probe, "skips", recorded)
+    monkeypatch.setattr(two_cost, "_solve_with_heavy_subset", checked)
+    # lengths of at most 4 make forests that tie the incumbent common
+    for mg, budget, eps in _heavy_cases(random.Random(909), [3, 4, 5, 6, 7, 8] * 4, 6, 12,
+                                        max_len=4):
+        two_cost_mst(mg, budget, eps)
+    tied = checked.skipped
+    for mg, budget, eps in _heavy_cases(random.Random(2020), [8, 9, 10] * 2, 18, 20):
+        two_cost_mst(mg, budget, eps)
+    assert tied >= 100 and checked.skipped - tied >= 150, (tied, checked.skipped - tied)
