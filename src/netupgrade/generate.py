@@ -18,12 +18,21 @@ from .oracle import knapsack_exact
 
 
 def _add_free_pairs(rng: random.Random, n: int, m: int, pairs: set) -> None:
-    """Top ``pairs`` up to m vertex pairs (u < v): every pair not yet in it is
-    listed, shuffled, and taken from the end of the list."""
-    free = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
-    rng.shuffle(free)
+    """Top ``pairs`` up to m vertex pairs (u < v).  Up to a million free pairs,
+    or when more than half of them are needed, every pair not yet in it is
+    listed, shuffled, and taken from the end of the list; otherwise pairs are
+    drawn at random until m are taken, in memory that grows with m, not n^2."""
+    free = n * (n - 1) // 2 - len(pairs)
+    if free <= 10 ** 6 or 2 * (m - len(pairs)) > free:
+        listed = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pairs]
+        rng.shuffle(listed)
+        while len(pairs) < m:
+            pairs.add(listed.pop())
+    # at most half the free pairs get taken, so most draws land on a free one
     while len(pairs) < m:
-        pairs.add(free.pop())
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
 
 
 def gen_random_graph(n: int, m: int, max_len: int = 10, max_cost: int = 10,

@@ -26,14 +26,18 @@ def test_tracer_counts_every_layer_through_the_cli(tmp_path, monkeypatch, capsys
     tracer.install()
     try:
         for algo, path, layers in runs:
-            before = [tracer.calls[layer] for layer in layers]
+            before = tracer.calls.copy()
             assert cli.main(["solve", "--algo", algo, "--in", str(path),
                              "--seed", "5", "--no-timing"]) == 0
-            assert [tracer.calls[layer] for layer in layers] == [
-                count + 1 for count in before], algo
+            assert [tracer.calls[layer] - before[layer] for layer in layers] == [
+                1] * len(layers), algo
             if algo == "twocost":
-                # the solver enters each multiplier search through lambda_search
-                assert tracer.calls["two_cost.lambda_search"] >= 1
+                # the solver enters each multiplier search through lambda_search,
+                # and builds its trees and chains through the wrapped names
+                seen = {layer: tracer.calls[layer] - before[layer] for layer in (
+                    "two_cost.lambda_search", "two_cost.lagrangian_tree", "two_cost.swap_chain")}
+                assert seen["two_cost.lambda_search"] >= 1
+                assert (seen["two_cost.lagrangian_tree"], seen["two_cost.swap_chain"]) == (14, 2)
     finally:
         tracer.uninstall()
     capsys.readouterr()

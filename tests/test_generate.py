@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from netupgrade import generate
 from netupgrade.instances import is_connected, validate
 from netupgrade.oracle import exact_imst, exact_wildag, knapsack_exact
+from netupgrade.serialization import Problem, instance_hash
 
 
 @given(st.integers(0, 10_000), st.integers(2, 9))
@@ -34,6 +35,34 @@ def test_random_dag_valid_and_deterministic(seed, n):
     assert validate(d) == []
     assert d.source == 0 and d.sink == n - 1
     assert generate.gen_random_dag(n, m, seed=seed) == d
+
+
+def test_small_instances_keep_their_hashes():
+    # up to a million free vertex pairs every pair is listed and shuffled,
+    # so these instances are the ones the shuffle always drew
+    graphs = [(generate.gen_random_graph(2, 1, seed=0), "40560230d78e4ad4"),
+              (generate.gen_random_graph(12, 20, max_len=40, levels=3, seed=7), "3755e6cd828f0936"),
+              (generate.gen_random_graph(30, 435, seed=5), "8c6f0b77c3afc568")]
+    dags = [(generate.gen_random_dag(7, 12, seed=11), "667e2670a96fa83f"),
+            (generate.gen_random_dag(25, 60, seed=2, uniform_cost=3), "876311c4cdef94de"),
+            (generate.gen_random_dag(40, 780, seed=9), "ba35e8b2a96df675")]
+    for g, digest in graphs:
+        assert instance_hash(Problem("imst", 5, graph=g)) == digest, g
+    for d, digest in dags:
+        assert instance_hash(Problem("wildag", 5, dag=d)) == digest, d
+
+
+def test_sparse_instances_on_many_vertices_are_drawn_pair_by_pair():
+    # 3,000 vertices have about 4.5 million vertex pairs, too many to list
+    for seed in (0, 1):
+        d = generate.gen_random_dag(3000, 5, seed=seed)
+        assert validate(d) == [] and d.m == 5
+        assert generate.gen_random_dag(3000, 5, seed=seed) == d
+        g = generate.gen_random_graph(3000, 3000, seed=seed)
+        assert validate(g) == [] and g.m == 3000
+        assert is_connected(g.n, ((e.u, e.v) for e in g.edges))
+        assert generate.gen_random_graph(3000, 3000, seed=seed) == g
+    assert generate.gen_random_dag(3000, 5, seed=0) != generate.gen_random_dag(3000, 5, seed=1)
 
 
 def test_uniform_cost_flag():
