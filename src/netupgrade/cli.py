@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import os
@@ -210,6 +209,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"verify does not support algorithm {args.algo!r}")
     if args.algo == "imst" and args.trials < 1:
         raise UsageError("--trials must be positive")
+    if args.count < 0:
+        raise UsageError("--count must be nonnegative")
     eps = _given(args.epsilon, Fraction(3, 10))
     delta = _given(args.delta, Fraction(1, 5))
     rows = []
@@ -297,9 +298,8 @@ _BENCH_BUDGETS = {
 def cmd_bench(args) -> int:
     if args.algo not in _BENCH_BUDGETS:
         raise UsageError(f"bench does not support algorithm {args.algo!r}")
-    writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_FIELDS, lineterminator="\n")
-    writer.writeheader()
     solve = DAG_ALGOS[args.algo]
+    rows = []
     for n in args.sizes:
         m = min(n * (n - 1) // 2, max(n, n * n // 8))
         uniform = args.algo.endswith("uniform")
@@ -311,12 +311,16 @@ def cmd_bench(args) -> int:
             start = time.perf_counter()
             sol = solve(dag, budget, argparse.Namespace(epsilon=eps))
             wall = (time.perf_counter() - start) * 1000.0
-            writer.writerow({
+            rows.append({
                 "algo": args.algo, "n": n, "m": dag.m,
                 "W": dag.effective_max_length(budget),
                 "epsilon": "" if eps is None else str(eps),
                 "wall_ms": round(wall, 3), "objective": sol.total_length,
             })
+    # the header follows the solves, so an argument a solver rejects prints nothing
+    writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return 0
 
 
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--max-len", type=int, default=10)
     gen.add_argument("--max-cost", type=int, default=10)
     gen.add_argument("--budget", type=int)
-    gen.add_argument("--seed", type=int, default=_default_seed())
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--knapsack", nargs=2, metavar=("PROFITS", "COSTS"))
     gen.add_argument("--out")
 
@@ -342,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--budget", type=int)
     solve.add_argument("--epsilon", type=_fraction)
     solve.add_argument("--delta", type=_fraction)
-    solve.add_argument("--seed", type=int, default=_default_seed())
+    solve.add_argument("--seed", type=int)
     solve.add_argument("--k", type=int)
     solve.add_argument("--trials", type=int)
     solve.add_argument("--minimize", action="store_true")
@@ -355,29 +359,27 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=int, default=20)
     verify.add_argument("--epsilon", type=_fraction)
     verify.add_argument("--delta", type=_fraction)
-    verify.add_argument("--seed", type=int, default=_default_seed())
+    verify.add_argument("--seed", type=int)
 
     bench = sub.add_parser("bench", help="size/epsilon sweeps with wall times")
     bench.add_argument("--algo", required=True)
     bench.add_argument("--sizes", type=_int_list, default=[])
     bench.add_argument("--epsilons", type=lambda s: [Fraction(x) for x in s.split(",") if x],
                        default=None)
-    bench.add_argument("--seed", type=int, default=_default_seed())
+    bench.add_argument("--seed", type=int)
     return top
 
 
-@functools.lru_cache(maxsize=1)
-def _parser_for(seed_env: str | None) -> argparse.ArgumentParser:
-    """``build_parser()`` once per value of NETUPGRADE_SEED, the one input
-    its defaults read from outside the argument list."""
-    return build_parser()
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
     handlers = {"gen": cmd_gen, "solve": cmd_solve,
                 "verify": cmd_verify, "bench": cmd_bench}
     try:
-        args = _parser_for(os.environ.get("NETUPGRADE_SEED")).parse_args(argv)
+        args = _PARSER.parse_args(argv)
+        if args.seed is None:
+            args.seed = _default_seed()
         return handlers[args.command](args)
     # DisconnectedGraphError is a ValueError, so its clause comes first
     except DisconnectedGraphError as exc:

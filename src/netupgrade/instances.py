@@ -38,7 +38,7 @@ from itertools import chain
 from operator import ge, itemgetter, le
 from typing import NamedTuple
 
-from ._util import UnionFind, kruskal
+from ._util import kruskal
 
 
 class InvalidInstanceError(ValueError):
@@ -258,7 +258,7 @@ def st_edges(dag: DagInstance) -> tuple[DagEdge, ...]:
 
 def is_connected(n: int, pairs) -> bool:
     """Whether the (u, v) pairs join all n vertices: Kruskal finds n - 1 joins."""
-    return n <= 1 or len(kruskal([(None, u, v) for u, v in pairs], UnionFind(n), n - 1)) == n - 1
+    return n <= 1 or len(kruskal([(None, u, v) for u, v in pairs], list(range(n)), n - 1)) == n - 1
 
 
 # solvers look edges up by id as edges[edge_id]

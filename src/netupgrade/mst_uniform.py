@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._util import UnionFind, kruskal
+from ._util import kruskal
 from .instances import (
     DisconnectedGraphError,
     TreeSolution,
@@ -35,7 +35,7 @@ def _by_weight(edges: Sequence[WeightedEdge]) -> list[WeightedEdge]:
 
 def max_spanning_tree(n: int, edges: Sequence[WeightedEdge]) -> list[int]:
     """Maximum-weight spanning tree; raises on a disconnected graph."""
-    chosen = [e[0] for e in kruskal(_by_weight(edges), UnionFind(n), n - 1)]
+    chosen = [e[0] for e in kruskal(_by_weight(edges), list(range(n)), n - 1)]
     if len(chosen) != n - 1:
         raise DisconnectedGraphError("graph is not connected")
     return chosen
@@ -77,8 +77,8 @@ def uimst_half_approx(graph: UpgradableGraph, k: int) -> TreeSolution:
         raise ValueError("cap must be nonnegative")
 
     # the fill skips each forest edge's base copy, whose endpoints the forest joins
-    uf = UnionFind(graph.n)
-    forest = [e[0] for e in kruskal(_level_order(graph, 1), uf, k)]
-    tree = forest + [e[0] for e in kruskal(_level_order(graph, 0), uf, graph.n - 1 - len(forest))]
+    parent = list(range(graph.n))
+    forest = [e[0] for e in kruskal(_level_order(graph, 1), parent, k)]
+    tree = forest + [e[0] for e in kruskal(_level_order(graph, 0), parent, graph.n - 1 - len(forest))]
     upgraded = set(forest)
     return solution_from_choices(graph, {eid: int(eid in upgraded) for eid in tree})

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._util import UnionFind, as_fraction, kruskal
+from ._util import as_fraction, kruskal
 from .instances import DisconnectedGraphError, EdgeCopy, MultiGraph, is_connected
 
 
@@ -83,7 +83,7 @@ def _forest(copies: Sequence[Copy], lam: Fraction, n: int) -> list[Copy]:
     # p*c - q*l orders copies as lambda*c - l does, in exact integers; the
     # stable sort keeps the input's (cost, id) order among equal keys
     p, q = lam.numerator, lam.denominator
-    return kruskal(sorted(copies, key=lambda c: p * c[4] - q * c[3]), UnionFind(n), n - 1)
+    return kruskal(sorted(copies, key=lambda c: p * c[4] - q * c[3]), list(range(n)), n - 1)
 
 
 def _shorter(tree: TwoCostResult, lam: Fraction, reach: int, need: int | None) -> bool:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from netupgrade.cli import main
+from netupgrade.cli import VERIFY_FIELDS, main
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
@@ -198,15 +198,24 @@ def test_bench_rows(capsys):
     assert lines[1].split(",")[0] == "wildag-fptas"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--algo", "wildag-uniform", "--sizes", "1"), "bad generator parameters"),
+    (("--algo", "wildag-fptas", "--sizes", "10", "--epsilons", "0"), "eps must be in (0, 1)"),
+])
+def test_bench_rejects_a_solver_argument_before_the_header(argv, message, capsys):
+    assert run(capsys, "bench", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_seed_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NETUPGRADE_SEED", "99")
-    from netupgrade import cli
     path = gen_file(tmp_path, capsys)
-    parser = cli.build_parser()
-    # parser defaults are bound at build time, after the env var is set
-    args = parser.parse_args(["solve", "--algo", "uimst", "--k", "1",
-                              "--in", str(path)])
-    assert args.seed == 99
+    argv = ["solve", "--algo", "uimst", "--k", "1", "--in", str(path), "--no-timing"]
+    monkeypatch.setenv("NETUPGRADE_SEED", "99")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["seed"] == 99
+    # the environment is read only when --seed is absent
+    monkeypatch.setenv("NETUPGRADE_SEED", "abc")
+    code, out, _ = run(capsys, *argv, "--seed", "3")
+    assert code == 0 and json.loads(out)["seed"] == 3
 
 
 def test_oversized_vertex_count_exits_2_with_one_line(tmp_path, capsys):
@@ -289,6 +298,13 @@ def test_verify_imst_rejects_nonpositive_trials_before_the_header(trials, capsys
     code, out, err = run(capsys, "verify", "--algo", "imst", "--count", "1",
                          "--size", "4", "--trials", trials)
     assert (code, out, err) == (2, "", "error: --trials must be positive\n")
+
+
+def test_verify_rejects_a_negative_count_before_the_header(capsys):
+    assert run(capsys, "verify", "--algo", "uimst", "--count", "-1") == (
+        2, "", "error: --count must be nonnegative\n")
+    code, out, _err = run(capsys, "verify", "--algo", "uimst", "--count", "0")
+    assert (code, out.splitlines()) == (0, [",".join(VERIFY_FIELDS)])
 
 
 @pytest.mark.parametrize("cost", [0, 1])

@@ -3,7 +3,9 @@
 marked ``# noqa: F401`` and rebound by the benchmark's tracer, every private
 module-level name is read somewhere else in the package, every name the
 package exports resolves, and every top-level import is of the standard
-library, the package itself or a dependency declared in pyproject.toml."""
+library, the package itself or a dependency declared in pyproject.toml.
+The oracle stays apart from the solvers: only it imports ``UnionFind``, it
+imports no solver module, and no module keeps a ``functools`` cache."""
 
 import ast
 import re
@@ -215,3 +217,97 @@ def test_undeclared_import_check_flags_only_unlisted_third_party_modules():
               "def f():\n"
               "    import networkx\n")
     assert undeclared_imports(source, declared) == ["line 3: numpy", "line 8: scipy"]
+
+
+def imported(source: str) -> set[tuple[str, str | None]]:
+    """(module, name) for every import anywhere in ``source``, a function's
+    included, with package modules named without their package:
+    ``from .a import b`` and ``from netupgrade.a import b`` give ("a", "b"),
+    ``import functools`` and ``from . import a`` give ("functools", None) and
+    ("a", None), and then ``functools.cache`` and ``a.b`` add
+    ("functools", "cache") and ("a", "b")."""
+    tree = ast.parse(source)
+    found, bound = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                module = alias.name.removeprefix("netupgrade.")
+                found.add((module, None))
+                bound[alias.asname or module] = module
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("netupgrade").lstrip(".")
+            for alias in node.names:
+                if module:
+                    found.add((module, alias.name))
+                else:
+                    found.add((alias.name, None))
+                    bound[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            found.add((bound[node.value.id], node.attr))
+    return found
+
+
+SOLVER_MODULES = {"dag_dp", "two_cost", "mst_uniform", "imst_random"}
+CACHES = {("functools", "lru_cache"), ("functools", "cache")}
+
+
+def union_find_importers(sources: dict[str, str]) -> list[str]:
+    """The modules of ``sources`` (file name to text) that import UnionFind."""
+    return sorted(name for name, source in sources.items()
+                  if ("_util", "UnionFind") in imported(source))
+
+
+def solver_imports(source: str) -> list[str]:
+    """The solver modules ``source`` imports from."""
+    return sorted({module for module, _name in imported(source)} & SOLVER_MODULES)
+
+
+def cache_users(sources: dict[str, str]) -> list[str]:
+    """``module: functools.name`` for each functools cache a module uses."""
+    return sorted(f"{name}: functools.{attr}" for name, source in sources.items()
+                  for module, attr in imported(source) & CACHES)
+
+
+def test_only_the_oracle_imports_union_find():
+    sources = {p.name: p.read_text() for p in MODULES}
+    assert union_find_importers(sources) == ["oracle.py"]
+
+
+def test_union_find_check_flags_every_way_of_importing_it():
+    sources = {"a.py": "from ._util import UnionFind\n",
+               "b.py": "def f():\n    from netupgrade._util import UnionFind as U\n",
+               "c.py": "from . import _util\nuf = _util.UnionFind(3)\n",
+               "d.py": "from ._util import kruskal\nparent = list(range(3))\n",
+               "e.py": "class UnionFind:\n    pass\n"}
+    assert union_find_importers(sources) == ["a.py", "b.py", "c.py"]
+
+
+def test_the_oracle_imports_no_solver():
+    assert solver_imports((SRC / "oracle.py").read_text()) == []
+
+
+def test_solver_import_check_flags_each_solver_module():
+    source = ("from .instances import require_valid\n"
+              "from . import dag_dp, generate\n"
+              "from netupgrade.two_cost import two_cost_mst\n"
+              "def f():\n"
+              "    import netupgrade.mst_uniform\n"
+              "    from .imst_random import imst_solve\n")
+    assert solver_imports(source) == ["dag_dp", "imst_random", "mst_uniform", "two_cost"]
+    assert solver_imports("from ._util import UnionFind\n") == []
+
+
+def test_no_module_keeps_a_functools_cache():
+    sources = {p.name: p.read_text() for p in MODULES + [SRC / "__init__.py"]}
+    assert cache_users(sources) == []
+
+
+def test_cache_check_flags_lru_cache_and_cache_however_imported():
+    sources = {"a.py": "import functools\n@functools.lru_cache(maxsize=1)\ndef f():\n    pass\n",
+               "b.py": "from functools import cache\n",
+               "c.py": "import functools as ft\ng = ft.cache(len)\n",
+               "d.py": "from functools import reduce\nimport functools\nfunctools.partial(len)\n"}
+    assert cache_users(sources) == ["a.py: functools.lru_cache", "b.py: functools.cache",
+                                    "c.py: functools.cache"]

@@ -96,7 +96,7 @@ def test_kruskal_matches_the_capped_reference_forest():
         edges = [(i, u, v, w) for i, u, v, w, _b in recs]
         ordered = sorted(edges, key=lambda e: (-e[3], e[0]))
         for limit in (0, rng.randint(0, n - 2), n - 1, n + 2):
-            chosen = kruskal(ordered, UnionFind(n), limit)
+            chosen = kruskal(ordered, list(range(n)), limit)
             assert all(c in edges for c in chosen)
             assert tuple(c[0] for c in chosen) == max_forest_capped(n, edges, limit)
 
@@ -108,15 +108,15 @@ def test_kruskal_on_a_shared_union_find_extends_a_forest_to_a_tree():
         improved = [(i, u, v, w) for i, u, v, w, _b in recs]
         base = [(i, u, v, b) for i, u, v, _w, b in recs]
         k = rng.randint(0, n)
-        uf = UnionFind(n)
-        forest = [e[0] for e in kruskal(sorted(improved, key=lambda e: (-e[3], e[0])), uf, k)]
+        parent = list(range(n))
+        forest = [e[0] for e in kruskal(sorted(improved, key=lambda e: (-e[3], e[0])), parent, k)]
         assert tuple(forest) == max_forest_capped(n, improved, k)
-        fill = kruskal(sorted(base, key=lambda e: (-e[3], e[0])), uf, n - 1 - len(forest))
+        fill = kruskal(sorted(base, key=lambda e: (-e[3], e[0])), parent, n - 1 - len(forest))
         tree = forest + [e[0] for e in fill]
         try:
             assert tree == extend_forest_to_tree(n, forest, improved, base)
         except DisconnectedGraphError:
-            assert len(tree) < n - 1 and uf.components() > 1
+            assert len(tree) < n - 1 and sum(parent[v] == v for v in range(n)) > 1
 
 
 def lvl(length, cost):

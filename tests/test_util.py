@@ -67,10 +67,32 @@ def test_inline_kruskal_matches_the_union_call_loop():
             reference.union(u, v)
         for limit in (0, 1, n - 1, rng.randint(0, n + 1)):
             ordered = rng.sample(records, len(records))
-            got = kruskal(ordered, inline, limit)
+            got = kruskal(ordered, inline.parent, limit)
             assert got == kruskal_by_union(ordered, reference, limit)
             assert len(got) <= max(limit, 0)
             assert _partition(inline, n) == _partition(reference, n)
             assert inline.components() == reference.components()
             checked += len(got)
     assert checked >= 1000
+
+    # a path on 10^4 vertices: linking without rank builds chains as long as
+    # the path when its edges come backward, the input a missing rank would
+    # show on first; halving finds must still pick what the union calls pick
+    n = 10_000
+    path = [(i, i, i + 1) for i in range(n - 1)]
+    orders = [path, path[::-1], [(i, v, u) for i, u, v in reversed(path)],
+              # from both ends at once: the first edge, the last, the second, ...
+              [path[j // 2] if j % 2 == 0 else path[-1 - j // 2] for j in range(n - 1)]]
+    for seeded in (False, True):
+        merges = [(rng.randrange(n), rng.randrange(n)) for _ in range(200)] if seeded else []
+        for ordered in orders:
+            inline, reference = UnionFind(n), UnionFind(n)
+            for u, v in merges:
+                inline.union(u, v)
+                reference.union(u, v)
+            # a capped first pass, then a fill on the same forest
+            for limit in (n // 3, n - 1):
+                got = kruskal(ordered, inline.parent, limit)
+                assert got == kruskal_by_union(ordered, reference, limit)
+                assert _partition(inline, n) == _partition(reference, n)
+            assert inline.components() == 1
