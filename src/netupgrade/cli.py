@@ -190,6 +190,14 @@ VERIFY_ALGOS = ("uimst", "twocost", "imst", "wildag-exact", "wildag-fptas",
                 "wildag-uniform")
 
 
+def _require_size(option: str, size: int, algo: str) -> None:
+    """Reject a size the generator cannot serve: a graph needs a vertex, a
+    DAG a source and a sink."""
+    least = 1 if algo in TREE_ALGOS else 2
+    if size < least:
+        raise UsageError(f"{option} must be at least {least} for {algo}")
+
+
 def _verify_problem(algo: str, size: int, seed: int) -> Problem:
     """A random instance for ``algo``, budget drawn up to half its total cost."""
     m = min(size * (size - 1) // 2, size + size // 2 + 1)
@@ -211,6 +219,7 @@ def cmd_verify(args) -> int:
         raise UsageError("--trials must be positive")
     if args.count < 0:
         raise UsageError("--count must be nonnegative")
+    _require_size("--size", args.size, args.algo)
     eps = _given(args.epsilon, Fraction(3, 10))
     delta = _given(args.delta, Fraction(1, 5))
     rows = []
@@ -301,6 +310,7 @@ def cmd_bench(args) -> int:
     solve = DAG_ALGOS[args.algo]
     rows = []
     for n in args.sizes:
+        _require_size("--sizes", n, args.algo)
         m = min(n * (n - 1) // 2, max(n, n * n // 8))
         uniform = args.algo.endswith("uniform")
         dag = generate.gen_random_dag(n, m, max_len=10, max_cost=4,

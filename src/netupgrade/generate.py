@@ -41,7 +41,7 @@ def gen_random_graph(n: int, m: int, max_len: int = 10, max_cost: int = 10,
 
     Connectivity is enforced by first laying a random spanning tree.
     """
-    if n < 1 or m < max(n - 1, 1) or max_len < 0 or max_cost < 0 or levels < 1:
+    if n < 1 or m < n - 1 or max_len < 0 or max_cost < 0 or levels < 1:
         raise ValueError("bad generator parameters")
     if m > n * (n - 1) // 2:
         raise ValueError(f"m={m} exceeds simple-graph capacity for n={n}")

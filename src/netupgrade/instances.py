@@ -12,8 +12,10 @@ never fall under "increase" (maximizing solvers) and never rise under
 "decrease" (minimizing ones); costs never fall.
 
 Edges, ladder levels and multigraph copies are ``NamedTuple`` records, cheap
-to build; validation reads them by unpacking.  Instances are immutable
-after construction and every operation here is pure, so a fact derived from
+to build; validation reads them by unpacking.  Both validators read each
+edge once, in the loop that words its violations, so valid and invalid
+input take one path.  Instances are immutable after construction and
+every operation here is pure, so a fact derived from
 an instance can be kept on the instance itself: ``_memo(instance)`` is a dict
 in the instance's ``__dict__``, outside the dataclass fields, so ``==``,
 ``hash`` and ``repr`` never see it.  It holds successes only.
@@ -286,13 +288,11 @@ def _validate_graph(graph: UpgradableGraph, improvement: str) -> list[str]:
         if not ladder:
             bad.append(f"edge {eid}: empty ladder")
             continue
-        if ladder[0].cost != 0:
-            bad.append(f"edge {eid}: level 0 must cost 0")
-        for length, cost in ladder:
-            if length < 0 or cost < 0:
-                bad.append(f"edge {eid}: negative length or cost")
-                break
         lengths, costs = zip(*ladder)
+        if costs[0] != 0:
+            bad.append(f"edge {eid}: level 0 must cost 0")
+        if min(lengths) < 0 or min(costs) < 0:
+            bad.append(f"edge {eid}: negative length or cost")
         if not all(map(in_order, lengths, lengths[1:])):
             bad.append(f"edge {eid}: ladder lengths not {direction}")
         if not all(map(le, costs, costs[1:])):
@@ -305,41 +305,28 @@ def _validate_graph(graph: UpgradableGraph, improvement: str) -> list[str]:
     return bad
 
 
-def _columns_valid(n: int, edges, improvement: str) -> bool:
-    """Whether no edge breaks a per-edge rule, checked column by column; ids
-    equal to 0..m-1 are both dense and distinct."""
-    ids, tails, tips, bases, improveds, costs = zip(*edges)
-    return (ids == tuple(range(len(ids)))
-            and min(tails) >= 0 and min(tips) >= 0 and max(tails) < n and max(tips) < n
-            and min(bases) >= 0 and min(improveds) >= 0 and min(costs) >= 0
-            and all(map(ge if improvement == "decrease" else le, bases, improveds)))
-
-
 def _validate_dag(dag: DagInstance, improvement: str) -> list[str]:
     bad: list[str] = []
     if dag.n < 2:
         bad.append("DAG needs at least two vertices")
         return bad
-    n = dag.n
+    n, seen_ids = dag.n, set()
     endpoints_in_range = True
-    if dag.edges and not _columns_valid(n, dag.edges, improvement):
-        # some rule is broken: word every violation, edge by edge
-        seen_ids = set()
-        for eid, tail, head, base, improved, cost in dag.edges:
-            if eid in seen_ids:
-                bad.append(f"edge {eid}: duplicate id")
-            seen_ids.add(eid)
-            if not (0 <= tail < n and 0 <= head < n):
-                bad.append(f"edge {eid}: endpoint out of range")
-                endpoints_in_range = False
-            if base < 0 or improved < 0 or cost < 0:
-                bad.append(f"edge {eid}: negative length or cost")
-            if improvement == "increase" and base > improved:
-                bad.append(f"edge {eid}: improved length below base length")
-            if improvement == "decrease" and improved > base:
-                bad.append(f"edge {eid}: improved length above base length")
-        if any(e.id != i for i, e in enumerate(dag.edges)):
-            bad.append(_NOT_DENSE)
+    for eid, tail, head, base, improved, cost in dag.edges:
+        if eid in seen_ids:
+            bad.append(f"edge {eid}: duplicate id")
+        seen_ids.add(eid)
+        if not (0 <= tail < n and 0 <= head < n):
+            bad.append(f"edge {eid}: endpoint out of range")
+            endpoints_in_range = False
+        if base < 0 or improved < 0 or cost < 0:
+            bad.append(f"edge {eid}: negative length or cost")
+        if improvement == "increase" and base > improved:
+            bad.append(f"edge {eid}: improved length below base length")
+        if improvement == "decrease" and improved > base:
+            bad.append(f"edge {eid}: improved length above base length")
+    if any(e.id != i for i, e in enumerate(dag.edges)):
+        bad.append(_NOT_DENSE)
     if not (0 <= dag.source < dag.n and 0 <= dag.sink < dag.n):
         bad.append("source or sink out of range")
         return bad

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from netupgrade.cli import VERIFY_FIELDS, main
+from netupgrade.serialization import instance_hash, parse
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
@@ -31,6 +32,11 @@ def test_gen_writes_canonical_file_and_hash(tmp_path, capsys):
     assert meta["hash"] == "289aa45b1d7e99d2"
     doc = json.loads(path.read_text())
     assert doc["kind"] == "imst" and len(doc["edges"]) == 9
+    # without --out the document goes to stdout and its hash to stderr
+    code, out, err = run(capsys, "gen", "--kind", "imst", "--n", "6", "--m", "9",
+                         "--seed", "3", "--budget", "8")
+    assert code == 0 and out == path.read_text()
+    assert json.loads(err) == {"hash": instance_hash(parse(out.encode()))} == meta
 
 
 def test_gen_knapsack_reports_known_optimum(tmp_path, capsys):
@@ -102,6 +108,11 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     assert run(capsys, "solve", "--algo", "uimst", "--in", str(bad))[0] == 2
     missing = tmp_path / "missing.json"
     assert run(capsys, "solve", "--algo", "uimst", "--in", str(missing))[0] == 2
+    assert run(capsys, "gen", "--kind", "imst", "--n", "6") == (
+        2, "", "error: --n and --m are required without --knapsack\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--algo", "twocost", "--in", str(path), "--epsilon", "abc"])
+    assert exc.value.code == 2 and "not a number: 'abc'" in capsys.readouterr().err
 
 
 def test_exit_code_oracle_guard(tmp_path, capsys):
@@ -175,6 +186,8 @@ def test_unsupported_algo_is_rejected_before_the_csv_header(argv, capsys):
 @pytest.mark.parametrize("argv, message", [
     (("--algo", "twocost", "--epsilon", "0"), "eps must be positive"),
     (("--algo", "imst", "--epsilon", "2"), "epsilon must be in (0, 1)"),
+    (("--algo", "uimst", "--size", "0"), "--size must be at least 1 for uimst"),
+    (("--algo", "wildag-exact", "--size", "1"), "--size must be at least 2 for wildag-exact"),
 ])
 def test_verify_rejects_a_solver_argument_before_the_csv_header(argv, message, capsys):
     code, out, err = run(capsys, "verify", *argv, "--count", "1")
@@ -198,9 +211,20 @@ def test_bench_rows(capsys):
     assert lines[1].split(",")[0] == "wildag-fptas"
 
 
+@pytest.mark.parametrize("algo, size", [
+    ("uimst", "1"), ("twocost", "1"), ("imst", "1"), ("wildag-exact", "2"),
+])
+def test_verify_serves_the_smallest_size(algo, size, capsys):
+    code, out, err = run(capsys, "verify", "--algo", algo, "--count", "1", "--size", size)
+    header, row = out.splitlines()
+    assert (code, err, header) == (0, "", ",".join(VERIFY_FIELDS))
+    assert row.split(",")[3] == size and row.endswith(",True")
+
+
 @pytest.mark.parametrize("argv, message", [
-    (("--algo", "wildag-uniform", "--sizes", "1"), "bad generator parameters"),
+    (("--algo", "wildag-uniform", "--sizes", "1"), "--sizes must be at least 2 for wildag-uniform"),
     (("--algo", "wildag-fptas", "--sizes", "10", "--epsilons", "0"), "eps must be in (0, 1)"),
+    (("--algo", "wildag-exact", "--sizes", "8,0"), "--sizes must be at least 2 for wildag-exact"),
 ])
 def test_bench_rejects_a_solver_argument_before_the_header(argv, message, capsys):
     assert run(capsys, "bench", *argv) == (2, "", f"error: {message}\n")

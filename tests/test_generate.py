@@ -76,6 +76,9 @@ def test_bad_parameters_rejected():
     with pytest.raises(ValueError):
         generate.gen_random_graph(4, 7)  # above simple-graph capacity
     with pytest.raises(ValueError):
+        generate.gen_random_graph(0, 0)
+    assert validate(generate.gen_random_graph(1, 0)) == []  # one vertex, no edge
+    with pytest.raises(ValueError):
         generate.gen_random_dag(1, 1)
 
 

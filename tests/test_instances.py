@@ -140,6 +140,9 @@ def test_dag_improvement_direction():
 def test_dag_unreachable_sink():
     d = DagInstance(3, (DagEdge(0, 1, 2, 1, 1, 0), DagEdge(1, 0, 1, 1, 1, 0)), 2, 0)
     assert "sink not reachable from source" in validate(d)
+    bare = DagInstance(2, (), 0, 1)
+    assert validate(bare) == ["sink not reachable from source"]
+    assert bare.topological_order() == [0, 1]
 
 
 def test_effective_max_length_respects_budget():
