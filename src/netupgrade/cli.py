@@ -31,16 +31,23 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_ORACLE = 4
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+
+def _number(kind, what: str):
+    """An option type for one ``kind`` value; a bad value is a usage error naming it."""
+    def read(text: str):
+        try:
+            return kind(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}") from None
+    return read
 
 
-def _int_list(text: str) -> list[int]:
-    text = text.strip()
-    return [int(x) for x in text.split(",")] if text else []
+_fraction, _int = _number(Fraction, "a number"), _number(int, "an integer")
+
+
+def _list_of(item):
+    """An option type for comma-separated ``item``s; empty items are skipped."""
+    return lambda text: [item(x) for x in text.split(",") if x.strip()]
 
 
 def _default_seed() -> int:
@@ -63,8 +70,7 @@ def _emit(doc: dict) -> None:
 def cmd_gen(args) -> int:
     budget = _given(args.budget, 0)
     if args.knapsack:
-        instance, known = generate.gen_knapsack_reduction(
-            _int_list(args.knapsack[0]), _int_list(args.knapsack[1]), budget, args.kind)
+        instance, known = generate.gen_knapsack_reduction(*args.knapsack, budget, args.kind)
     elif args.n is None or args.m is None:
         raise UsageError("--n and --m are required without --knapsack")
     elif args.kind == "imst":
@@ -73,10 +79,8 @@ def cmd_gen(args) -> int:
     else:
         instance = generate.gen_random_dag(args.n, args.m, args.max_len,
                                            args.max_cost, args.seed)
-    if args.kind == "imst":
-        problem = Problem("imst", budget, graph=instance)
-    else:
-        problem = Problem("wildag", budget, dag=instance)
+    problem = (Problem("imst", budget, graph=instance) if args.kind == "imst"
+               else Problem("wildag", budget, dag=instance))
     meta = {"hash": instance_hash(problem)}
     if args.knapsack:
         meta["known_optimum"] = known
@@ -186,8 +190,26 @@ def cmd_solve(args) -> int:
 
 VERIFY_FIELDS = ["instance", "hash", "algo", "n", "m", "budget", "epsilon",
                  "delta", "trials", "successes", "fraction", "min_ratio", "passed"]
-VERIFY_ALGOS = ("uimst", "twocost", "imst", "wildag-exact", "wildag-fptas",
-                "wildag-uniform")
+
+
+def _longest_path(problem: Problem) -> int:
+    return oracle.exact_wildag(problem.dag, problem.budget)[0]
+
+
+# algorithm -> (optimum(problem), meets(length, spend, optimum, budget, eps)):
+# the oracle's optimum and the paper's guarantee that verify checks each run
+# of the algorithm's solve entry against
+_GUARANTEES = {
+    "uimst": (lambda p: oracle.exact_uimst_table(p.graph),  # one optimum per cap k
+              lambda l, s, opt, b, e: 2 * l >= opt),
+    "twocost": (lambda p: oracle.exact_two_cost(expand_to_multigraph(p.graph), p.budget)[0],
+                lambda l, s, opt, b, e: l >= opt and s <= (1 + e) * b),
+    "imst": (lambda p: oracle.exact_imst(p.graph, p.budget)[0],
+             lambda l, s, opt, b, e: l >= (1 - e) * opt and s <= b),
+    "wildag-exact": (_longest_path, lambda l, s, opt, b, e: l == opt and s <= b),
+    "wildag-fptas": (_longest_path, lambda l, s, opt, b, e: l >= (1 - e) * opt and s <= b),
+    "wildag-uniform": (_longest_path, lambda l, s, opt, b, e: l == opt),
+}
 
 
 def _require_size(option: str, size: int, algo: str) -> None:
@@ -212,8 +234,16 @@ def _verify_problem(algo: str, size: int, seed: int) -> Problem:
     return Problem("wildag", rng.randint(0, max(1, total // 2)), dag=dag)
 
 
+def _write_csv(fields: list[str], rows: list[dict]) -> int:
+    # called after the solves, so an argument a solver rejects prints nothing
+    writer = csv.DictWriter(sys.stdout, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return 0
+
+
 def cmd_verify(args) -> int:
-    if args.algo not in VERIFY_ALGOS:
+    if args.algo not in _GUARANTEES:
         raise UsageError(f"verify does not support algorithm {args.algo!r}")
     if args.algo == "imst" and args.trials < 1:
         raise UsageError("--trials must be positive")
@@ -222,71 +252,38 @@ def cmd_verify(args) -> int:
     _require_size("--size", args.size, args.algo)
     eps = _given(args.epsilon, Fraction(3, 10))
     delta = _given(args.delta, Fraction(1, 5))
-    rows = []
-    for i in range(args.count):
-        seed = args.seed + i
-        problem = _verify_problem(args.algo, args.size, seed)
-        rows.append({"instance": i, "hash": instance_hash(problem), "algo": args.algo,
-                     "n": problem.instance.n, "m": problem.instance.m,
-                     "budget": problem.budget, "epsilon": str(eps),
-                     "delta": str(delta), "trials": args.trials,
-                     **_verify_one(args.algo, problem, seed, args.trials, eps, delta)})
-    # the header follows the solves, so an argument a solver rejects prints nothing
-    writer = csv.DictWriter(sys.stdout, fieldnames=VERIFY_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return 0
+    return _write_csv(VERIFY_FIELDS, [_verify_one(args, i, eps, delta) for i in range(args.count)])
 
 
-def _verify_one(algo: str, problem: Problem, seed: int, trials: int,
-                eps: Fraction, delta: Fraction) -> dict:
-    budget = problem.budget
-    if algo in DAG_ALGOS:
-        dag = problem.dag
-        opt, _sol = oracle.exact_wildag(dag, budget)
-        sol = DAG_ALGOS[algo](dag, budget, argparse.Namespace(epsilon=eps))
-        if algo == "wildag-exact":
-            ok = sol.total_length == opt and sol.total_spend <= budget
-        elif algo == "wildag-uniform":
-            ok = sol.total_length == opt
-        else:
-            ok = (sol.total_length >= (1 - eps) * opt
-                  and sol.total_spend <= budget)
-        return dict(trials=1, successes=int(ok), fraction=float(ok),
-                    min_ratio=round(sol.total_length / opt, 6) if opt else 1.0,
-                    passed=ok)
-    graph = problem.graph
+def _verify_one(args, i: int, eps: Fraction, delta: Fraction) -> dict:
+    """The row for random instance i: the runs of ``args.algo``'s solve entry
+    graded by its guarantee.  One run, one per cap k for uimst, or one per
+    master seed for imst."""
+    algo, seed = args.algo, args.seed + i
+    problem = _verify_problem(algo, args.size, seed)
+    optimum, meets = _GUARANTEES[algo]
+    opt = optimum(problem)
     if algo == "uimst":
-        opts = oracle.exact_uimst_table(graph)
-        successes, ratios = 0, []
-        for k in range(graph.n):
-            sol = mst_uniform.uimst_half_approx(graph, k)
-            ratios.append(sol.total_length / opts[k] if opts[k] else 1.0)
-            successes += 2 * sol.total_length >= opts[k]
-        return dict(trials=graph.n, successes=successes,
-                    fraction=round(successes / graph.n, 6),
-                    min_ratio=round(min(ratios), 6), passed=successes == graph.n)
-    if algo == "twocost":
-        mg = expand_to_multigraph(graph)
-        opt, _c, _ids = oracle.exact_two_cost(mg, budget)
-        res = two_cost.two_cost_mst(mg, budget, eps)
-        ok = res.length >= opt and res.cost <= (1 + eps) * budget
-        return dict(trials=1, successes=int(ok), fraction=float(ok),
-                    min_ratio=round(res.length / opt, 6) if opt else 1.0, passed=ok)
-    opt, _sol = oracle.exact_imst(graph, budget)
+        runs = [(argparse.Namespace(k=k), opt[k]) for k in range(problem.graph.n)]
+    elif algo == "imst":
+        runs = [(argparse.Namespace(epsilon=eps, delta=delta, seed=seed * 1_000_003 + t,
+                                    trials=None, minimize=False), opt) for t in range(args.trials)]
+    else:
+        runs = [(argparse.Namespace(epsilon=eps), opt)]
     successes, ratios = 0, []
-    for t in range(trials):
-        config = imst_random.RandomizedConfig(
-            epsilon=eps, delta=delta, master_seed=seed * 1_000_003 + t)
-        sol = imst_random.imst_solve(graph, budget, config).solution
-        ratios.append(sol.total_length / opt if opt else 1.0)
-        successes += (sol.total_spend <= budget
-                      and sol.total_length >= (1 - eps) * opt)
-    target = 1 - float(delta)
-    band = 3 * math.sqrt(target * (1 - target) / trials)
-    fraction = successes / trials
-    return dict(successes=successes, fraction=round(fraction, 6),
-                min_ratio=round(min(ratios), 6), passed=fraction >= target - band)
+    for opts, best in runs:
+        length, spend, _edges, _feasible = _run_algo(algo, problem, problem.budget, opts)
+        ratios.append(length / best if best else 1.0)
+        successes += meets(length, spend, best, problem.budget, eps)
+    fraction = successes / len(runs)
+    target = 1 - float(delta)  # imst, randomized, passes within 3σ of a 1 − δ success rate
+    passed = (fraction >= target - 3 * math.sqrt(target * (1 - target) / len(runs))
+              if algo == "imst" else successes == len(runs))
+    return {"instance": i, "hash": instance_hash(problem), "algo": algo,
+            "n": problem.instance.n, "m": problem.instance.m, "budget": problem.budget,
+            "epsilon": str(eps), "delta": str(delta), "trials": len(runs),
+            "successes": successes, "fraction": round(fraction, 6),
+            "min_ratio": round(min(ratios), 6), "passed": passed}
 
 
 BENCH_FIELDS = ["algo", "n", "m", "W", "epsilon", "wall_ms", "objective"]
@@ -312,10 +309,8 @@ def cmd_bench(args) -> int:
     for n in args.sizes:
         _require_size("--sizes", n, args.algo)
         m = min(n * (n - 1) // 2, max(n, n * n // 8))
-        uniform = args.algo.endswith("uniform")
-        dag = generate.gen_random_dag(n, m, max_len=10, max_cost=4,
-                                      seed=args.seed + n,
-                                      uniform_cost=1 if uniform else None)
+        dag = generate.gen_random_dag(n, m, max_len=10, max_cost=4, seed=args.seed + n,
+                                      uniform_cost=1 if args.algo.endswith("uniform") else None)
         budget = _BENCH_BUDGETS[args.algo](dag)
         for eps in args.epsilons or [None]:
             start = time.perf_counter()
@@ -327,11 +322,7 @@ def cmd_bench(args) -> int:
                 "epsilon": "" if eps is None else str(eps),
                 "wall_ms": round(wall, 3), "objective": sol.total_length,
             })
-    # the header follows the solves, so an argument a solver rejects prints nothing
-    writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return 0
+    return _write_csv(BENCH_FIELDS, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--max-cost", type=int, default=10)
     gen.add_argument("--budget", type=int)
     gen.add_argument("--seed", type=int)
-    gen.add_argument("--knapsack", nargs=2, metavar=("PROFITS", "COSTS"))
+    gen.add_argument("--knapsack", nargs=2, type=_list_of(_int), metavar=("PROFITS", "COSTS"))
     gen.add_argument("--out")
 
     solve = sub.add_parser("solve", help="run a solver on an instance file")
@@ -373,9 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="size/epsilon sweeps with wall times")
     bench.add_argument("--algo", required=True)
-    bench.add_argument("--sizes", type=_int_list, default=[])
-    bench.add_argument("--epsilons", type=lambda s: [Fraction(x) for x in s.split(",") if x],
-                       default=None)
+    bench.add_argument("--sizes", type=_list_of(_int), default=[])
+    bench.add_argument("--epsilons", type=_list_of(_fraction))
     bench.add_argument("--seed", type=int)
     return top
 

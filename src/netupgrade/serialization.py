@@ -16,7 +16,8 @@ per-vertex arrays stay small.
 Every document is read in one checked pass over its edges, which builds
 the instance's edge records and notes whether any ladder ends below its
 level 0 (a minimizing instance, "decrease"); the instance is then validated
-once, in that direction, and errors are worded against the rising rule.
+once, in that direction.  Errors in a document whose ladders all fall (or stay
+flat) are worded in that direction; in any other, against the rising rule.
 Fields are tested with exact ``type(x) is int``/``list``/``dict`` checks,
 which equal ``_want``'s for decoded JSON; ``_want`` runs only to word an
 error.  A "wildag" edge whose ladder is two [int, int] levels is
@@ -228,9 +229,13 @@ def _require_valid(instance, improvement: str) -> None:
     # direction then passes at once
     try:
         require_valid(instance, improvement=improvement)
-    except InvalidInstanceError:
-        # errors are reported against the longest-path rules in either case
-        raise FormatError("invalid instance: " + "; ".join(validate(instance)), "$") from None
+    except InvalidInstanceError as exc:
+        # only wrong-way ladders word differently by direction: a document with
+        # none against the falling rule is worded as read, any other as rising
+        words = validate(instance)
+        if improvement == "decrease" and set(exc.violations) <= set(words):
+            words = exc.violations
+        raise FormatError("invalid instance: " + "; ".join(words), "$") from None
 
 
 def serialize(problem: Problem) -> bytes:

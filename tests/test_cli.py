@@ -230,6 +230,36 @@ def test_bench_rejects_a_solver_argument_before_the_header(argv, message, capsys
     assert run(capsys, "bench", *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (("--epsilons", "1/0"), "--epsilons: not a number: '1/0'"),
+    (("--epsilons", "abc"), "--epsilons: not a number: 'abc'"),
+    (("--sizes", "x"), "--sizes: not an integer: 'x'"),
+])
+def test_bench_rejects_a_bad_list_item_as_a_usage_error(argv, bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--algo", "wildag-fptas", *argv])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.startswith("usage: ") and out.err.endswith(f"error: argument {bad}\n")
+
+
+@pytest.mark.parametrize("algo, runs", [("uimst", 6), ("twocost", 1), ("imst", 20)])
+def test_verify_grades_the_entry_solve_runs(algo, runs, capsys, monkeypatch):
+    from netupgrade import cli
+    from netupgrade.instances import TreeSolution
+
+    calls = []
+
+    def no_guarantee(graph, budget, opts):
+        calls.append(opts)
+        return TreeSolution({}, 0, 10 ** 9)  # too short for uimst, over budget for the rest
+
+    monkeypatch.setitem(cli.TREE_ALGOS, algo, no_guarantee)
+    code, out, err = run(capsys, "verify", "--algo", algo, "--count", "1", "--seed", "1")
+    assert (code, err, len(calls)) == (0, "", runs)
+    assert out.splitlines()[1].endswith(",False")
+
+
 def test_seed_env_default(tmp_path, capsys, monkeypatch):
     path = gen_file(tmp_path, capsys)
     argv = ["solve", "--algo", "uimst", "--k", "1", "--in", str(path), "--no-timing"]

@@ -273,3 +273,11 @@ def test_a_mixed_document_lists_only_its_falling_edges():
         parse(serialize(Problem("imst", 3, graph=mixed)))
     assert str(exc.value) == ("$: invalid instance: edge 1: ladder lengths not nondecreasing; "
                               "edge 3: ladder lengths not nondecreasing")
+
+
+def test_a_falling_document_is_worded_in_its_direction():
+    # falling edges 0-1 and 1-2 leave vertex 3 apart, and no ladder is to blame
+    apart = two_level(4, [[(5, 0), (2, 1)], [(4, 0), (1, 1)]])
+    with pytest.raises(FormatError) as exc:
+        parse(serialize(Problem("imst", 3, graph=apart)))
+    assert str(exc.value) == "$: invalid instance: not connected"

@@ -110,8 +110,14 @@ def _require_valid(instance, location: str) -> None:
                       for e in instance.edges)
     improvement = "decrease" if falling else "increase"
     if validate(instance, improvement=improvement):
-        # errors are reported against the longest-path rules in either case
-        violations = validate(instance)
+        # a document with no rising ladder is worded in its falling direction;
+        # any other against the longest-path rules
+        if isinstance(instance, DagInstance):
+            rising = any(e.improved > e.base for e in instance.edges)
+        else:
+            rising = any(a.length < b.length for e in instance.edges
+                         for a, b in zip(e.ladder, e.ladder[1:]))
+        violations = validate(instance, improvement="increase" if rising else improvement)
         raise FormatError("invalid instance: " + "; ".join(violations), location)
     # the solver's require_valid in the same direction then passes at once
     _memo(instance)["valid", improvement] = True

@@ -127,12 +127,13 @@ def test_wisdag_style_decreasing_ladders_accepted():
     # one edge improves upward, one downward: neither direction is valid
     ([[0, 1, [[5, 0], [2, 1]]], [1, 2, [[4, 0], [6, 1]]]], (0, 2),
      "$: invalid instance: edge 0: improved length below base length"),
+    # every edge improves downward: worded in that direction, so no ladder is blamed
     ([[0, 1, [[5, 0], [2, 1]]], [1, 0, [[4, 0], [1, 1]]]], (0, 0),
-     "$: invalid instance: edge 0: improved length below base length; edge 1: "
-     "improved length below base length; source and sink must differ; not acyclic"),
+     "$: invalid instance: source and sink must differ; not acyclic"),
+    ([[0, 1, [[5, 0], [2, 1]]]], (0, 2), "$: invalid instance: sink not reachable from source"),
 ])
 def test_invalid_decreasing_dag_error_text(edges, source_sink, message):
-    # errors name the longest-path rules, whichever direction the ladders take
+    # a mixed document is worded against the longest-path rules
     doc = {"kind": "wildag", "n": 3, "budget": 1,
            "edges": [{"id": i, "u": u, "v": v, "ladder": ladder}
                      for i, (u, v, ladder) in enumerate(edges)],
