@@ -208,7 +208,7 @@ _GUARANTEES = {
              lambda l, s, opt, b, e: l >= (1 - e) * opt and s <= b),
     "wildag-exact": (_longest_path, lambda l, s, opt, b, e: l == opt and s <= b),
     "wildag-fptas": (_longest_path, lambda l, s, opt, b, e: l >= (1 - e) * opt and s <= b),
-    "wildag-uniform": (_longest_path, lambda l, s, opt, b, e: l == opt),
+    "wildag-uniform": (_longest_path, lambda l, s, opt, b, e: l == opt and s <= b),
 }
 
 

@@ -260,6 +260,23 @@ def test_verify_grades_the_entry_solve_runs(algo, runs, capsys, monkeypatch):
     assert out.splitlines()[1].endswith(",False")
 
 
+def test_verify_fails_a_uniform_path_that_overspends(capsys, monkeypatch):
+    # the oracle's longest path, but spending one unit past the budget
+    import dataclasses
+
+    from netupgrade import cli, oracle
+
+    def overspent(dag, budget, opts):
+        path = oracle.exact_wildag(dag, budget)[1]
+        return dataclasses.replace(path, total_spend=budget + 1)
+
+    monkeypatch.setitem(cli.DAG_ALGOS, "wildag-uniform", overspent)
+    code, out, err = run(capsys, "verify", "--algo", "wildag-uniform", "--count", "1",
+                         "--seed", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].endswith(",False")
+
+
 def test_seed_env_default(tmp_path, capsys, monkeypatch):
     path = gen_file(tmp_path, capsys)
     argv = ["solve", "--algo", "uimst", "--k", "1", "--in", str(path), "--no-timing"]

@@ -44,17 +44,17 @@ def _search(k, copies, budget, need=None):
     """``lambda_search`` entered as the solver enters it: the tree at
     multiplier 0 answers a ``need`` it falls short of (None) and a budget it
     fits (the tree itself); ``copies`` stand in for F_inf."""
-    at_zero = lagrangian_tree(k, copies, Fraction(0))
+    at_zero = lagrangian_tree(k, copies, Fraction(0), ())
     if need is not None and at_zero.length < need:
         return None
     if at_zero.cost <= budget:
         return at_zero
-    return lambda_search(k, copies, budget, need, at_zero, copies)
+    return lambda_search(k, copies, budget, need, at_zero, copies, ())
 
 
 def test_lagrangian_tree_at_zero_is_max_length():
     mg = small_mg(1)
-    p = lagrangian_tree(*_split(mg), Fraction(0))
+    p = lagrangian_tree(*_split(mg), Fraction(0), ())
     brute = max(
         length for length, _c, _ids in [exact_two_cost(mg, 10 ** 9)])
     assert p.length == brute
@@ -62,7 +62,7 @@ def test_lagrangian_tree_at_zero_is_max_length():
 
 def test_lagrangian_tree_rejects_negative_multiplier():
     with pytest.raises(ValueError):
-        lagrangian_tree(*_split(small_mg(1)), Fraction(-1))
+        lagrangian_tree(*_split(small_mg(1)), Fraction(-1), ())
 
 
 def test_lambda_search_exact_when_budget_loose():
@@ -292,7 +292,7 @@ def test_lambda_search_matches_bisection_reference():
     binding = 0
     for _ in range(300):
         mg = _random_mg(rng, rng.randint(4, 20))
-        zero_cost = lagrangian_tree(*_split(mg), Fraction(0)).cost
+        zero_cost = lagrangian_tree(*_split(mg), Fraction(0), ()).cost
         budgets = [zero_cost, rng.randrange(zero_cost)] if zero_cost else [0]
         for budget in budgets:
             found = _search(*_split(mg), budget)
@@ -308,7 +308,7 @@ def test_swap_chain_stops_at_the_first_tree_over_budget():
     rng = random.Random(4242)
     for _ in range(300):
         mg = _random_mg(rng, rng.randint(4, 20))
-        zero_cost = lagrangian_tree(*_split(mg), Fraction(0)).cost
+        zero_cost = lagrangian_tree(*_split(mg), Fraction(0), ()).cost
         budgets = [zero_cost, rng.randrange(zero_cost)] if zero_cost else [0]
         cases += [(mg, budget) for budget in budgets]
     binding = longer = 0
@@ -428,8 +428,8 @@ def test_dual_bound_holds_for_the_tree_a_residual_search_yields(monkeypatch):
     points = []
     solve = two_cost.lagrangian_tree
 
-    def recorded(k, copies, lam):
-        points.append((lam, solve(k, copies, lam)))
+    def recorded(k, copies, lam, forced):
+        points.append((lam, solve(k, copies, lam, forced)))
         return points[-1][1]
 
     monkeypatch.setattr(two_cost, "lagrangian_tree", recorded)
@@ -439,14 +439,15 @@ def test_dual_bound_holds_for_the_tree_a_residual_search_yields(monkeypatch):
         mg = _random_mg(rng, rng.randint(3, 10))
         by_id = {c.copy_id: c for c in mg.copies}
         c_max = max(c.cost for c in mg.copies)
-        cheapest = solve(*_split(mg), Fraction(sum(c.length for c in mg.copies) + 1)).cost
-        longest = solve(*_split(mg), Fraction(0)).cost
+        cheapest = solve(*_split(mg), Fraction(sum(c.length for c in mg.copies) + 1), ()).cost
+        longest = solve(*_split(mg), Fraction(0), ()).cost
         graphs += cheapest < longest
         for budget in range(cheapest, longest):
             points.clear()
             copies = _split(mg)[1]
-            ids, _ = _solve_with_heavy_subset(copies, copies, copies, None, (),
-                                              list(range(mg.n)), budget, None)
+            tree, _ = _solve_with_heavy_subset(copies, copies, copies, None, (),
+                                               list(range(mg.n)), budget, None)
+            ids = tree.copy_ids
             length = sum(by_id[i].length for i in ids)
             assert sum(by_id[i].cost for i in ids) <= budget + c_max
             for lam, p in points:
@@ -463,7 +464,7 @@ def test_two_cost_mst_matches_eager_reference_where_forests_tie():
     for _ in range(150):
         mg = _random_mg(rng, rng.randint(4, 9), max_cost=rng.choice([3, 6, 12]))
         eps = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
-        budget = rng.randint(0, max(lagrangian_tree(*_split(mg), Fraction(0)).cost, 1))
+        budget = rng.randint(0, max(lagrangian_tree(*_split(mg), Fraction(0), ()).cost, 1))
         try:
             expected = _ref_two_cost_mst(mg, budget, eps)
         except DisconnectedGraphError:
@@ -477,7 +478,8 @@ def test_residual_trees_lie_in_the_greedy_forests_of_the_light_copies():
     # the matroid fact the solver rests on (module docstring, step 1): under one
     # strict order, greedy on the contraction by a heavy forest picks a subset of
     # greedy's picks on the light copies, so greedy over those picks, relabelled
-    # through the forest's components, finds the residual's tree
+    # through the forest's components, finds the residual's tree, and greedy
+    # over them on all n vertices, the forest taken first, finds it plus the forest
     rng = random.Random(5150)
     checked = binding = 0
     for _ in range(80):
@@ -506,14 +508,21 @@ def test_residual_trees_lie_in_the_greedy_forests_of_the_light_copies():
                         forest.append(c)
                 relabelled = [(c.copy_id, labels[c.u], labels[c.v], c.length, c.cost)
                               for c in forest]
+                # the solver's plain tuples, on all n vertices, the forest taken first
+                whole = (mg.n, [c[:5] for c in forest], lam, [c[:5] for c in subset])
                 try:
                     tree = _ref_tree(residual, lam)
                 except DisconnectedGraphError:
-                    with pytest.raises(DisconnectedGraphError):
-                        lagrangian_tree(k, relabelled, lam)
+                    for args in (k, relabelled, lam, ()), whole:
+                        with pytest.raises(DisconnectedGraphError):
+                            lagrangian_tree(*args)
                     continue
                 assert set(tree.copy_ids) <= {c.copy_id for c in forest}
-                assert lagrangian_tree(k, relabelled, lam) == tree
+                assert lagrangian_tree(k, relabelled, lam, ()) == tree
+                assert lagrangian_tree(*whole) == TwoCostResult(
+                    tuple(sorted(tree.copy_ids + tuple(c.copy_id for c in subset))),
+                    tree.length + sum(c.length for c in subset),
+                    tree.cost + sum(c.cost for c in subset))
                 checked += 1
                 binding += tree.cost > budget
     assert checked >= 800 and binding >= 200
@@ -551,12 +560,13 @@ def test_searches_started_from_the_light_forests_solve_the_plain_searchs_trees(m
         log.append(solve(*args))
         return log[-1]
 
-    def compared(k, copies, budget, need, at_zero, cheap):
+    def compared(k, copies, budget, need, at_zero, cheap, forced):
         log.clear()
-        found = search(k, copies, budget, need, at_zero, cheap)
+        found = search(k, copies, budget, need, at_zero, cheap, forced)
         started = [at_zero] + log
         log.clear()
-        assert search(k, copies, budget, need, recorded(k, copies, Fraction(0)), copies) == found
+        assert search(k, copies, budget, need, recorded(k, copies, Fraction(0), forced), copies,
+                      forced) == found
         assert log == started
         compared.calls += 1
         return found
@@ -590,7 +600,7 @@ def test_forests_the_probe_skips_yield_trees_shorter_than_the_incumbent(monkeypa
             alone, _ = solve(light, zero, inf, None, subset, labels, budget, None)
             if alone is not None:
                 length = {c[0]: c[3] for c in [*light, *subset]}
-                assert sum(length[i] for i in alone) < incumbent, (subset, budget)
+                assert sum(length[i] for i in alone.copy_ids) < incumbent, (subset, budget)
             checked.skipped += 1
         return ids, lam
 
