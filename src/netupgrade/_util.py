@@ -1,8 +1,10 @@
 """Small shared helpers: union-find, Kruskal, seed mixing, instance hashing,
-rational parameters."""
+rational parameters, a collector pause."""
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from fractions import Fraction
 
 MASK64 = (1 << 64) - 1
@@ -30,6 +32,21 @@ def fnv1a64(data: bytes) -> int:
         h ^= b
         h = (h * 0x100000001B3) & MASK64
     return h
+
+
+@contextmanager
+def gc_paused():
+    """Hold the cyclic garbage collector off for the block, for code that
+    builds many containers and no reference cycles (Mercurial's
+    ``util.nogc``).  The collector is switched back on afterwards only if it
+    was on before, so pauses nest and a caller's ``gc.disable()`` holds."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class UnionFind:

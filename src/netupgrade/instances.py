@@ -275,11 +275,13 @@ def _validate_graph(graph: UpgradableGraph, improvement: str) -> list[str]:
     n, seen_ids = graph.n, set()
     in_order, direction = ((ge, "nonincreasing") if improvement == "decrease"
                            else (le, "nondecreasing"))
-    endpoints_in_range = True
-    for eid, u, v, ladder in graph.edges:
+    endpoints_in_range = dense = True
+    for i, (eid, u, v, ladder) in enumerate(graph.edges):
         if eid in seen_ids:
             bad.append(f"duplicate edge id {eid}")
         seen_ids.add(eid)
+        if eid != i:
+            dense = False
         if not (0 <= u < n and 0 <= v < n):
             bad.append(f"edge {eid}: endpoint out of range")
             endpoints_in_range = False
@@ -297,7 +299,7 @@ def _validate_graph(graph: UpgradableGraph, improvement: str) -> list[str]:
             bad.append(f"edge {eid}: ladder lengths not {direction}")
         if not all(map(le, costs, costs[1:])):
             bad.append(f"edge {eid}: ladder costs not nondecreasing")
-    if any(e.id != i for i, e in enumerate(graph.edges)):
+    if not dense:
         bad.append(_NOT_DENSE)
     # connectivity is only defined over in-range endpoints
     if endpoints_in_range and not is_connected(graph.n, ((e.u, e.v) for e in graph.edges)):
@@ -311,11 +313,13 @@ def _validate_dag(dag: DagInstance, improvement: str) -> list[str]:
         bad.append("DAG needs at least two vertices")
         return bad
     n, seen_ids = dag.n, set()
-    endpoints_in_range = True
-    for eid, tail, head, base, improved, cost in dag.edges:
+    endpoints_in_range = dense = True
+    for i, (eid, tail, head, base, improved, cost) in enumerate(dag.edges):
         if eid in seen_ids:
             bad.append(f"edge {eid}: duplicate id")
         seen_ids.add(eid)
+        if eid != i:
+            dense = False
         if not (0 <= tail < n and 0 <= head < n):
             bad.append(f"edge {eid}: endpoint out of range")
             endpoints_in_range = False
@@ -325,7 +329,7 @@ def _validate_dag(dag: DagInstance, improvement: str) -> list[str]:
             bad.append(f"edge {eid}: improved length below base length")
         if improvement == "decrease" and improved > base:
             bad.append(f"edge {eid}: improved length above base length")
-    if any(e.id != i for i, e in enumerate(dag.edges)):
+    if not dense:
         bad.append(_NOT_DENSE)
     if not (0 <= dag.source < dag.n and 0 <= dag.sink < dag.n):
         bad.append("source or sink out of range")

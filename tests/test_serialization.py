@@ -1,4 +1,6 @@
+import gc
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -294,3 +296,67 @@ def test_out_of_range_endpoints_are_reported_not_raised(kind, endpoint):
     with pytest.raises(FormatError) as exc:
         parse(json.dumps(doc))
     assert str(exc.value) == "$: invalid instance: edge 1: endpoint out of range"
+
+
+@pytest.fixture
+def collector_on():
+    was_on = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was_on else gc.disable)()
+
+
+_PARSE_INPUTS = [
+    (b"not json", "invalid JSON"),
+    (_mutate(IMST_DOC, budget=-1).encode(), "budget must be nonnegative"),
+    (IMST_DOC.replace(b"[[1,0],[4,2]]", b"[[1,3],[4,2]]"), "level 0 must cost 0"),
+    (IMST_DOC.decode(), None),
+    (IMST_DOC, None),
+]
+_PARSE_IDS = ["bad-json", "schema", "invalid-instance", "str", "bytes"]
+
+
+def _parse_outcome(data, error):
+    if error is None:
+        assert serialize(parse(data)) == IMST_DOC
+    else:
+        with pytest.raises(FormatError, match=error):
+            parse(data)
+
+
+@pytest.mark.parametrize("data,error", _PARSE_INPUTS, ids=_PARSE_IDS)
+def test_parse_turns_an_enabled_collector_back_on(collector_on, data, error):
+    _parse_outcome(data, error)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("data,error", _PARSE_INPUTS, ids=_PARSE_IDS)
+def test_parse_leaves_a_disabled_collector_off(collector_on, data, error):
+    gc.disable()
+    _parse_outcome(data, error)
+    assert not gc.isenabled()
+
+
+@pytest.mark.parametrize("document,n,m", [(_dag_document, 400, 5000),
+                                          (_imst_document, 300, 2000)],
+                         ids=["wildag", "imst"])
+def test_parse_sets_off_no_collection_while_it_reads(collector_on, document, n, m):
+    # a collection starts in the frame whose allocation crossed the threshold:
+    # without the pause, dozens start in parse, _read and the validators; with
+    # it, the one collection it defers starts once they have returned
+    from netupgrade import instances, serialization
+
+    data = document(n, m)
+    reading = {serialization.__file__, instances.__file__}
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start" and sys._getframe(1).f_code.co_filename in reading:
+            starts.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        assert parse(data).instance.m == m
+    finally:
+        gc.callbacks.remove(hook)
+    assert starts == []
