@@ -37,7 +37,8 @@ def test_tracer_counts_every_layer_through_the_cli(tmp_path, monkeypatch, capsys
                 seen = {layer: tracer.calls[layer] - before[layer] for layer in (
                     "two_cost.lambda_search", "two_cost.lagrangian_tree", "two_cost.swap_chain")}
                 assert seen["two_cost.lambda_search"] >= 1
-                assert (seen["two_cost.lagrangian_tree"], seen["two_cost.swap_chain"]) == (14, 2)
+                # (13: the probe's closed form skips one forest before its tree)
+                assert (seen["two_cost.lagrangian_tree"], seen["two_cost.swap_chain"]) == (13, 2)
     finally:
         tracer.uninstall()
     capsys.readouterr()

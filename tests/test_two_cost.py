@@ -18,10 +18,14 @@ from netupgrade.oracle import exact_two_cost
 from netupgrade.two_cost import (
     LambdaSearchResult,
     TwoCostResult,
+    _forest,
+    _hat,
+    _hat_bound,
     _heavy_forests,
     _solve_with_heavy_subset,
     lagrangian_tree,
     lambda_search,
+    order_at,
     swap_chain,
     two_cost_mst,
 )
@@ -40,21 +44,34 @@ def _split(mg):
                         key=lambda c: (c[4], c[0]))
 
 
+def _tree(k, copies, lam, forced=()):
+    """The Lagrangian tree at ``lam``: ``copies`` ordered there, after ``forced``."""
+    return lagrangian_tree(k, order_at(copies, lam), forced)
+
+
+def _above(copies):
+    """``copies`` in their order above their total length, as F_inf is."""
+    return order_at(copies, Fraction(sum(c[3] for c in copies) + 1))
+
+
 def _search(k, copies, budget, need=None):
     """``lambda_search`` entered as the solver enters it: the tree at
     multiplier 0 answers a ``need`` it falls short of (None) and a budget it
-    fits (the tree itself); ``copies`` stand in for F_inf."""
-    at_zero = lagrangian_tree(k, copies, Fraction(0), ())
+    fits (the tree itself); ``copies``, ordered at each multiplier, stand in
+    for F_lam and F_inf."""
+    at_zero = _tree(k, copies, Fraction(0))
     if need is not None and at_zero.length < need:
         return None
     if at_zero.cost <= budget:
         return at_zero
-    return lambda_search(k, copies, budget, need, at_zero, copies, ())
+    reach = budget + max((c[4] for c in copies), default=0)
+    return lambda_search(k, lambda lam: order_at(copies, lam), budget, reach, need, at_zero,
+                         _above(copies), ())
 
 
 def test_lagrangian_tree_at_zero_is_max_length():
     mg = small_mg(1)
-    p = lagrangian_tree(*_split(mg), Fraction(0), ())
+    p = _tree(*_split(mg), Fraction(0))
     brute = max(
         length for length, _c, _ids in [exact_two_cost(mg, 10 ** 9)])
     assert p.length == brute
@@ -62,7 +79,7 @@ def test_lagrangian_tree_at_zero_is_max_length():
 
 def test_lagrangian_tree_rejects_negative_multiplier():
     with pytest.raises(ValueError):
-        lagrangian_tree(*_split(small_mg(1)), Fraction(-1), ())
+        _tree(*_split(small_mg(1)), Fraction(-1))
 
 
 def test_lambda_search_exact_when_budget_loose():
@@ -292,7 +309,7 @@ def test_lambda_search_matches_bisection_reference():
     binding = 0
     for _ in range(300):
         mg = _random_mg(rng, rng.randint(4, 20))
-        zero_cost = lagrangian_tree(*_split(mg), Fraction(0), ()).cost
+        zero_cost = _tree(*_split(mg), Fraction(0)).cost
         budgets = [zero_cost, rng.randrange(zero_cost)] if zero_cost else [0]
         for budget in budgets:
             found = _search(*_split(mg), budget)
@@ -308,7 +325,7 @@ def test_swap_chain_stops_at_the_first_tree_over_budget():
     rng = random.Random(4242)
     for _ in range(300):
         mg = _random_mg(rng, rng.randint(4, 20))
-        zero_cost = lagrangian_tree(*_split(mg), Fraction(0), ()).cost
+        zero_cost = _tree(*_split(mg), Fraction(0)).cost
         budgets = [zero_cost, rng.randrange(zero_cost)] if zero_cost else [0]
         cases += [(mg, budget) for budget in budgets]
     binding = longer = 0
@@ -394,8 +411,9 @@ def _heavy_cases(rng, hs, n_lo, n_hi, max_len=None):
 def test_dual_abort_cuts_mst_solves_on_the_eager_reference_corpus(monkeypatch):
     # the corpus of test_two_cost_mst_matches_eager_reference_with_heavy_copies;
     # without the early abort the solver makes 2,349 MST solves on it, with the
-    # abort alone 1,391 in 315 searches, and with the probe at one remembered
-    # multiplier as well 1,143 in 143 searches
+    # abort alone 1,391 in 315 searches, with the probe at one remembered
+    # multiplier as well 1,143 in 143 searches, and with the probe's closed
+    # form skipping 61 forests before their probe tree 1,082 in 143 searches
     calls = searches = 0
     solve, search = two_cost.lagrangian_tree, two_cost.lambda_search
 
@@ -413,7 +431,7 @@ def test_dual_abort_cuts_mst_solves_on_the_eager_reference_corpus(monkeypatch):
     monkeypatch.setattr(two_cost, "lambda_search", counted_search)
     for mg, budget, eps in _heavy_cases(random.Random(777), [2, 3, 4, 5, 6, 7, 8] * 2, 10, 16):
         two_cost_mst(mg, budget, eps)
-    assert (calls, searches) == (1143, 143)
+    assert (calls, searches) == (1082, 143)
 
 
 def test_two_cost_mst_matches_eager_reference_at_twenty_vertices():
@@ -426,34 +444,39 @@ def test_dual_bound_holds_for_the_tree_a_residual_search_yields(monkeypatch):
     # costs at most B + c_max, so at every multiplier lam it is no longer than
     # l(T_lam) - lam*(c(T_lam) - B - c_max)
     points = []
-    solve = two_cost.lagrangian_tree
+    shorter = two_cost._shorter
 
-    def recorded(k, copies, lam, forced):
-        points.append((lam, solve(k, copies, lam, forced)))
-        return points[-1][1]
+    # every solved tree the bound reads: q*l - p*c at its multiplier lam = p/q
+    def recorded(value, lam, reach, need):
+        points.append((lam, value))
+        return shorter(value, lam, reach, need)
 
-    monkeypatch.setattr(two_cost, "lagrangian_tree", recorded)
+    monkeypatch.setattr(two_cost, "_shorter", recorded)
     rng = random.Random(31337)
     graphs = chords = 0
     while graphs < 200:
         mg = _random_mg(rng, rng.randint(3, 10))
         by_id = {c.copy_id: c for c in mg.copies}
         c_max = max(c.cost for c in mg.copies)
-        cheapest = solve(*_split(mg), Fraction(sum(c.length for c in mg.copies) + 1), ()).cost
-        longest = solve(*_split(mg), Fraction(0), ()).cost
+        cheapest = _tree(*_split(mg), Fraction(sum(c.length for c in mg.copies) + 1)).cost
+        longest = _tree(*_split(mg), Fraction(0)).cost
         graphs += cheapest < longest
         for budget in range(cheapest, longest):
             points.clear()
             copies = _split(mg)[1]
-            tree, _ = _solve_with_heavy_subset(copies, copies, copies, None, (),
-                                               list(range(mg.n)), budget, None)
+            tree, _ = _solve_with_heavy_subset(copies, lambda lam: order_at(copies, lam),
+                                               _above(copies), None, (), list(range(mg.n)),
+                                               budget, None)
             ids = tree.copy_ids
             length = sum(by_id[i].length for i in ids)
             assert sum(by_id[i].cost for i in ids) <= budget + c_max
-            for lam, p in points:
+            for lam, value in points:
                 assert lam >= 0
-                assert length <= p.length - lam * (p.cost - budget - c_max), (mg, budget)
-            chords += len(points) - 3
+                p, q = lam.numerator, lam.denominator
+                assert q * length <= value + p * (budget + c_max), (mg, budget)
+            # the tree at zero, then the chord trees (the search's tree above
+            # every length is never read)
+            chords += len(points) - 2
     assert chords >= 1000
 
 
@@ -464,7 +487,7 @@ def test_two_cost_mst_matches_eager_reference_where_forests_tie():
     for _ in range(150):
         mg = _random_mg(rng, rng.randint(4, 9), max_cost=rng.choice([3, 6, 12]))
         eps = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
-        budget = rng.randint(0, max(lagrangian_tree(*_split(mg), Fraction(0), ()).cost, 1))
+        budget = rng.randint(0, max(_tree(*_split(mg), Fraction(0)).cost, 1))
         try:
             expected = _ref_two_cost_mst(mg, budget, eps)
         except DisconnectedGraphError:
@@ -513,13 +536,13 @@ def test_residual_trees_lie_in_the_greedy_forests_of_the_light_copies():
                 try:
                     tree = _ref_tree(residual, lam)
                 except DisconnectedGraphError:
-                    for args in (k, relabelled, lam, ()), whole:
+                    for args in (k, relabelled, lam), whole:
                         with pytest.raises(DisconnectedGraphError):
-                            lagrangian_tree(*args)
+                            _tree(*args)
                     continue
                 assert set(tree.copy_ids) <= {c.copy_id for c in forest}
-                assert lagrangian_tree(k, relabelled, lam, ()) == tree
-                assert lagrangian_tree(*whole) == TwoCostResult(
+                assert _tree(k, relabelled, lam) == tree
+                assert _tree(*whole) == TwoCostResult(
                     tuple(sorted(tree.copy_ids + tuple(c.copy_id for c in subset))),
                     tree.length + sum(c.length for c in subset),
                     tree.cost + sum(c.cost for c in subset))
@@ -551,21 +574,30 @@ def test_two_cost_mst_matches_eager_reference_on_a_random_corpus():
 
 
 def test_searches_started_from_the_light_forests_solve_the_plain_searchs_trees(monkeypatch):
-    # F_0 and F_inf stand in for the residual only at the two ends of a search,
-    # so every tree and multiplier the solver computes is the plain search's
+    # the light forests F_lam stand in for the residual at every multiplier of a
+    # search, so every tree and multiplier the solver computes is the plain
+    # search's, which sorts the residual itself at each multiplier
     search, solve = two_cost.lambda_search, two_cost.lagrangian_tree
+    solve_subset = two_cost._solve_with_heavy_subset
     log = []
 
     def recorded(*args):
         log.append(solve(*args))
         return log[-1]
 
-    def compared(k, copies, budget, need, at_zero, cheap, forced):
+    def entered(light, forest, inf, hat, subset, labels, budget, incumbent):
+        entered.residual = [c for c in light if labels[c[1]] != labels[c[2]]]
+        return solve_subset(light, forest, inf, hat, subset, labels, budget, incumbent)
+
+    def compared(k, forest, budget, reach, need, at_zero, cheap, forced):
         log.clear()
-        found = search(k, copies, budget, need, at_zero, cheap, forced)
+        found = search(k, forest, budget, reach, need, at_zero, cheap, forced)
         started = [at_zero] + log
         log.clear()
-        assert search(k, copies, budget, need, recorded(k, copies, Fraction(0), forced), copies,
+        copies = entered.residual
+        assert search(k, lambda lam: order_at(copies, lam), budget,
+                      budget + max(c[4] for c in copies), need,
+                      recorded(k, order_at(copies, Fraction(0)), forced), _above(copies),
                       forced) == found
         assert log == started
         compared.calls += 1
@@ -573,6 +605,7 @@ def test_searches_started_from_the_light_forests_solve_the_plain_searchs_trees(m
 
     compared.calls = 0
     monkeypatch.setattr(two_cost, "lagrangian_tree", recorded)
+    monkeypatch.setattr(two_cost, "_solve_with_heavy_subset", entered)
     monkeypatch.setattr(two_cost, "lambda_search", compared)
     for mg, budget, eps in _heavy_cases(random.Random(4321), [2, 4, 6, 8] * 8, 8, 16):
         two_cost_mst(mg, budget, eps)
@@ -590,14 +623,15 @@ def test_forests_the_probe_skips_yield_trees_shorter_than_the_incumbent(monkeypa
         hits.append(shorter(*args))
         return hits[-1]
 
-    def checked(light, zero, inf, hat, subset, labels, budget, incumbent):
+    def checked(light, forest, inf, hat, subset, labels, budget, incumbent):
         hits.clear()
-        ids, lam = solve(light, zero, inf, hat, subset, labels, budget, incumbent)
-        # given lam^, a solve reads the bound there first; a skip by it is
-        # that one read, true
-        if hat is not None and hits == [True]:
+        ids, lam = solve(light, forest, inf, hat, subset, labels, budget, incumbent)
+        # given lam^, a solve reads the bound there first, in closed form and
+        # then on the tree from F_lam^; a skip by it is the first read true,
+        # or the first false and the second true
+        if hat is not None and hits in ([True], [False, True]):
             assert ids is None and incumbent is not None
-            alone, _ = solve(light, zero, inf, None, subset, labels, budget, None)
+            alone, _ = solve(light, forest, inf, None, subset, labels, budget, None)
             if alone is not None:
                 length = {c[0]: c[3] for c in [*light, *subset]}
                 assert sum(length[i] for i in alone.copy_ids) < incumbent, (subset, budget)
@@ -615,3 +649,44 @@ def test_forests_the_probe_skips_yield_trees_shorter_than_the_incumbent(monkeypa
     for mg, budget, eps in _heavy_cases(random.Random(2020), [8, 9, 10] * 2, 18, 20):
         two_cost_mst(mg, budget, eps)
     assert tied >= 100 and checked.skipped - tied >= 150, (tied, checked.skipped - tied)
+
+
+def test_closed_form_at_lam_hat_bounds_the_probe_tree_of_every_heavy_forest():
+    # the probe's closed form (module docstring, step 2): the tree a heavy forest
+    # S yields from F_lam^ weighs at most the bound, and where S and F_lam^ hold
+    # fewer than n - 1 copies (d < 0) it has no tree to bound; lengths of at most
+    # 4 make ties common, and costs above the light threshold often leave the
+    # light copies disconnected
+    rng = random.Random(8080)
+    spans = tight = negative = split = 0
+    for _ in range(120):
+        n = rng.randint(3, 9)
+        # (copy id, u, v, length, cost) on random vertex pairs, parallel copies allowed
+        copies = [(i, *rng.sample(range(n), 2), rng.randint(0, 4), rng.randint(0, 12))
+                  for i in range(rng.randint(n - 1, 3 * n))]
+        threshold = rng.choice([3, 6, 9])
+        heavy = [c for c in copies if c[4] > threshold]
+        light = sorted((c for c in copies if c[4] <= threshold), key=lambda c: (c[4], c[0]))
+        lam = Fraction(rng.randint(0, 12), rng.randint(1, 4))
+        hat = _hat(lam, _forest(light, lam, n))
+        ordered = hat[1]
+        split += len(ordered) < n - 1
+        p, q = lam.numerator, lam.denominator
+        for subset, _ in _heavy_forests(heavy, n, rng.randint(0, 60)):
+            bound = _hat_bound(hat, subset, n)
+            if len(subset) + len(ordered) < n - 1:
+                assert bound is None
+                with pytest.raises(DisconnectedGraphError):
+                    lagrangian_tree(n, ordered, subset)
+                negative += 1
+                continue
+            try:
+                tree = lagrangian_tree(n, ordered, subset)
+            except DisconnectedGraphError:
+                continue
+            value = q * tree.length - p * tree.cost
+            assert value <= bound, (copies, lam, subset)
+            spans += 1
+            tight += value == bound
+    assert split >= 40 and negative >= 800 and spans >= 4000 and tight >= 1000, (
+        split, negative, spans, tight)

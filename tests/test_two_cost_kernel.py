@@ -20,6 +20,7 @@ from netupgrade.two_cost import (
     _heavy_forests,
     lagrangian_tree,
     lambda_search,
+    order_at,
     swap_chain,
     two_cost_mst,
 )
@@ -148,13 +149,17 @@ def _old_solve_with_heavy_subset(light, zero, inf, subset, labels, budget, incum
 def _search(k, copies, budget, need=None):
     """``lambda_search`` entered as the solver enters it: the tree at
     multiplier 0 answers a ``need`` it falls short of (None) and a budget it
-    fits (the tree itself); ``copies`` stand in for F_inf."""
-    at_zero = lagrangian_tree(k, copies, Fraction(0), ())
+    fits (the tree itself); ``copies``, ordered at each multiplier, stand in
+    for F_lam and F_inf."""
+    at_zero = lagrangian_tree(k, order_at(copies, Fraction(0)), ())
     if need is not None and at_zero.length < need:
         return None
     if at_zero.cost <= budget:
         return at_zero
-    return lambda_search(k, copies, budget, need, at_zero, copies, ())
+    reach = budget + max((c[4] for c in copies), default=0)
+    above = order_at(copies, Fraction(sum(c[3] for c in copies) + 1))
+    return lambda_search(k, lambda lam: order_at(copies, lam), budget, reach, need, at_zero,
+                         above, ())
 
 
 def _tied_mg(rng):
@@ -211,7 +216,8 @@ def test_lagrangian_kernel_matches_the_tuple_key_solver_where_keys_tie():
         total = sum(c[3] for c in copies)
         for lam in [Fraction(0), Fraction(total + 1),
                     Fraction(rng.randint(1, 12), rng.randint(1, 6))]:
-            assert lagrangian_tree(mg.n, ordered, lam, ()) == old_lagrangian_tree(mg.n, copies, lam)
+            assert (lagrangian_tree(mg.n, order_at(ordered, lam), ())
+                    == old_lagrangian_tree(mg.n, copies, lam))
         need = rng.choice([None, rng.randint(0, total)])
         try:
             expected = old_lambda_search(mg.n, copies, budget, need)
@@ -231,7 +237,7 @@ def test_chord_searches_of_several_steps_match_the_tuple_key_solver(monkeypatch)
     real = two_cost.lagrangian_tree
 
     def counted(*args):
-        solves.append(args[2])  # the multiplier
+        solves.append(args[1])  # the copies, in their multiplier's order
         return real(*args)
 
     monkeypatch.setattr(two_cost, "lagrangian_tree", counted)
@@ -242,7 +248,7 @@ def test_chord_searches_of_several_steps_match_the_tuple_key_solver(monkeypatch)
                                       levels=rng.choice([2, 3]), seed=rng.randrange(1 << 30))
         copies = _as_tuples(expand_to_multigraph(g))
         ordered = sorted(copies, key=lambda c: (c[4], c[0]))
-        budget = rng.randint(0, real(n, ordered, Fraction(0), ()).cost - 1)
+        budget = rng.randint(0, real(n, order_at(ordered, Fraction(0)), ()).cost - 1)
         solves.clear()
         expected = old_lambda_search(n, copies, budget)
         assert isinstance(expected, LambdaSearchResult)
@@ -252,10 +258,10 @@ def test_chord_searches_of_several_steps_match_the_tuple_key_solver(monkeypatch)
 
 
 def test_one_vertex_with_no_copies():
-    point = lagrangian_tree(1, [], Fraction(3, 2), ())
+    point = lagrangian_tree(1, order_at([], Fraction(3, 2)), ())
     assert point == TwoCostResult((), 0, 0)
     assert point == old_lagrangian_tree(1, [], Fraction(3, 2))
-    assert _search(1, [], 0) == lagrangian_tree(1, [], 0, ())
+    assert _search(1, [], 0) == lagrangian_tree(1, order_at([], 0), ())
     # a negative budget reaches the residual totals, which an empty residual
     # has too: the search reports that no tree fits, as the old solver did
     for search in (_search, old_lambda_search):
