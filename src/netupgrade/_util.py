@@ -11,7 +11,7 @@ MASK64 = (1 << 64) - 1
 
 
 def splitmix64(x: int) -> int:
-    """One round of the splitmix64 mixer; used to derive per-trial seeds."""
+    """One round of the splitmix64 mixer; used to derive per-solve seeds."""
     x = (x + 0x9E3779B97F4A7C15) & MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64

@@ -25,6 +25,13 @@ loses when it reverts that edge to level 0.  A trial is then its draws alone:
 records it reverts, and the trial's totals are the relaxed totals minus their
 losses.  Only the winning tree is built, once per solve.  Repeated
 solves on one instance, over many master seeds, validate and relax once.
+
+A solve seeds one generator, ``random.Random(splitmix64(master_seed))``,
+and its trials read that one stream in turn: trial i's draws follow trial
+i - 1's.  So no two trials of a solve share draws, a solve of t trials
+records the same first t trials as one of more, and since splitmix64 is a
+bijection on 64-bit words, master seeds that differ mod 2^64 seed different
+generators.
 """
 
 from __future__ import annotations
@@ -88,7 +95,6 @@ class RandomizedConfig:
 @dataclass
 class TrialSummary:
     index: int
-    seed: int
     length: int
     spend: int
     feasible: bool
@@ -168,6 +174,11 @@ def imst_solve(graph: UpgradableGraph, budget: int, config: RandomizedConfig,
     For ``minimize`` the ladders must fall (else rise), and their lengths are
     reflected (max-base equivalence on the graphic matroid), solved as
     maximization, and reported in original units.
+
+    Maximizing, length >= (1 - eps)*OPT with probability >= 1 - delta.
+    Minimizing, the reflection carries that bound over only additively:
+    length <= OPT + eps*((n - 1)*M - OPT) with probability >= 1 - delta, M
+    the largest level length; it can exceed (1 + eps)*OPT.
     """
     require_valid(graph, improvement="decrease" if minimize else "increase")
     if budget < 0:
@@ -178,28 +189,22 @@ def imst_solve(graph: UpgradableGraph, budget: int, config: RandomizedConfig,
     relaxed, length, spend, losses, fallback = _plan(graph, budget, eps_prime, minimize)
     keep = _keep_probability(eps_prime)
     relaxed_fits = spend <= budget
-    master_seed = config.master_seed
 
     # the best tree so far as (length, spend, reverted losses); the relaxed
     # tree is the one that reverts nothing
     best = None
     best_trial: int | None = None
     trials: list[TrialSummary] = []
+    # one stream per solve: trial i reads the draws after trial i - 1's
+    draw = random.Random(splitmix64(config.master_seed & MASK64)).random
     for i in range(config.num_trials):
-        seed = splitmix64((master_seed ^ i) & MASK64)
-        # one generator per solve, reseeded per trial: reseeding gives the
-        # stream of a fresh random.Random(seed) without building one
-        if i:
-            rng.seed(seed)
-        else:
-            rng = random.Random(seed)
-        reverted = sample_improved_forest(losses, keep, rng.random)
+        reverted = sample_improved_forest(losses, keep, draw)
         trial_length, trial_spend = length, spend
         for _, lost_length, lost_spend in reverted:
             trial_length -= lost_length
             trial_spend -= lost_spend
         feasible = trial_spend <= budget
-        trials.append(TrialSummary(i, seed, trial_length, trial_spend, feasible))
+        trials.append(TrialSummary(i, trial_length, trial_spend, feasible))
         if feasible and (best is None or better(trial_length, best[0])):
             best, best_trial = (trial_length, trial_spend, reverted), i
         if relaxed_fits and (best is None or better(length, best[0])):

@@ -52,7 +52,8 @@ net container allocations, so a 5,000-edge document set off about 36
 collections, each rescanning the live heap, and none could free anything:
 a parsed instance holds no reference cycles.  The pause is process-wide,
 for the few ms a parse takes; it nests, and a collector that was off when
-``parse`` began stays off after it returns or raises.
+``parse`` began stays off after it returns or raises.  ``serialize``
+pauses it the same way while it builds the document it dumps.
 """
 
 from __future__ import annotations
@@ -250,36 +251,37 @@ def _require_valid(instance, improvement: str) -> None:
 
 def serialize(problem: Problem) -> bytes:
     """Canonical bytes for a problem; inverse of parse on valid data."""
-    if problem.kind == "imst":
-        graph = problem.graph
-        doc = {
-            "kind": "imst",
-            "n": graph.n,
-            "budget": problem.budget,
-            "edges": [
-                {"id": e.id, "u": e.u, "v": e.v,
-                 "ladder": [[lvl.length, lvl.cost] for lvl in e.ladder]}
-                for e in sorted(graph.edges, key=lambda e: e.id)
-            ],
-            "directed": False,
-        }
-    elif problem.kind == "wildag":
-        dag = problem.dag
-        doc = {
-            "kind": "wildag",
-            "n": dag.n,
-            "budget": problem.budget,
-            "edges": [
-                {"id": e.id, "u": e.tail, "v": e.head,
-                 "ladder": [[e.base, 0], [e.improved, e.cost]]}
-                for e in sorted(dag.edges, key=lambda e: e.id)
-            ],
-            "source": dag.source,
-            "sink": dag.sink,
-            "directed": True,
-        }
-    else:
-        raise ValueError(f"unknown kind {problem.kind!r}")
+    with gc_paused():  # about four containers per edge, and no cycles
+        if problem.kind == "imst":
+            graph = problem.graph
+            doc = {
+                "kind": "imst",
+                "n": graph.n,
+                "budget": problem.budget,
+                "edges": [
+                    {"id": e.id, "u": e.u, "v": e.v,
+                     "ladder": [[lvl.length, lvl.cost] for lvl in e.ladder]}
+                    for e in sorted(graph.edges, key=lambda e: e.id)
+                ],
+                "directed": False,
+            }
+        elif problem.kind == "wildag":
+            dag = problem.dag
+            doc = {
+                "kind": "wildag",
+                "n": dag.n,
+                "budget": problem.budget,
+                "edges": [
+                    {"id": e.id, "u": e.tail, "v": e.head,
+                     "ladder": [[e.base, 0], [e.improved, e.cost]]}
+                    for e in sorted(dag.edges, key=lambda e: e.id)
+                ],
+                "source": dag.source,
+                "sink": dag.sink,
+                "directed": True,
+            }
+        else:
+            raise ValueError(f"unknown kind {problem.kind!r}")
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 

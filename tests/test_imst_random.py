@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netupgrade import generate
+from netupgrade import generate, imst_random
+from netupgrade.cli import main
 from netupgrade.imst_random import (
     RandomizedConfig,
     _keep_probability,
@@ -163,3 +164,45 @@ def test_minimize_returns_feasible_tree(seed, n, budget):
     res = imst_solve(down, budget, cfg(seed=seed), minimize=True)
     assert res.solution.total_spend <= budget
     assert len(res.solution.choices) == down.n - 1
+
+
+def test_fewer_trials_record_a_prefix_of_more():
+    # the trials read one stream in turn, so trial i's draws do not depend
+    # on how many trials follow it
+    varied = 0
+    for seed in range(12):
+        g = generate.gen_random_graph(7, 12, levels=3, seed=seed)
+        budget = sum(e.ladder[-1].cost for e in g.edges) // 2
+        full = imst_solve(g, budget, cfg(seed=seed * 7919, trials=30)).trials
+        for t in (1, 6, 29):
+            assert imst_solve(g, budget, cfg(seed=seed * 7919, trials=t)).trials == full[:t]
+        varied += len({s.length for s in full}) > 1
+    assert varied > 6
+
+
+def test_verify_trials_draw_pairwise_distinct_sequences(monkeypatch, capsys):
+    """``verify --algo imst`` solves each instance at 20 master seeds
+    (seed * 1_000_003 + t) with 6 trials each: 120 trials, none of which
+    may replay another's draws."""
+    per_trial = []
+    real = imst_random.sample_improved_forest
+
+    def recording(records, keep, draw):
+        drawn = []
+
+        def tap():
+            drawn.append(draw())
+            return drawn[-1]
+
+        reverted = real(records, keep, tap)
+        per_trial.append(tuple(drawn))
+        return reverted
+
+    monkeypatch.setattr(imst_random, "sample_improved_forest", recording)
+    assert main(["verify", "--algo", "imst", "--count", "5", "--seed", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 5 and all(row.endswith(",True") for row in rows)
+    assert len(per_trial) == 5 * 120
+    for k in range(5):
+        draws = per_trial[120 * k:120 * (k + 1)]
+        assert all(draws) and len(set(draws)) == 120

@@ -219,10 +219,10 @@ def reference_imst_solve(graph, budget, config, minimize=False):
     fallback = solution_from_choices(
         graph, {eid: 0 for eid in max_spanning_tree(work.n, base_edges)})
     best, best_trial, trials = None, None, []
+    rng = random.Random(splitmix64(config.master_seed & MASK64))
     for i in range(config.num_trials):
-        seed = splitmix64((config.master_seed ^ i) & MASK64)
-        sampled = sample_tree(graph, choices, config.epsilon_prime, random.Random(seed))
-        trials.append(TrialSummary(i, seed, sampled.total_length, sampled.total_spend,
+        sampled = sample_tree(graph, choices, config.epsilon_prime, rng)
+        trials.append(TrialSummary(i, sampled.total_length, sampled.total_spend,
                                    sampled.total_spend <= budget))
         for cand in (sampled, pipeline_sol):
             if cand.total_spend <= budget and (
@@ -330,8 +330,10 @@ def test_every_trial_replays_through_sample_improved_forest():
     for g, budget, config, minimize, relaxed in upgrade_heavy_cases(7, 40):
         res = imst_solve(g, budget, config, minimize=minimize)
         relaxed_length = solution_from_choices(g, relaxed).total_length
+        # one generator per solve, read by the trials in order
+        rng = random.Random(splitmix64(config.master_seed & MASK64))
         for summary in res.trials:
-            sampled = sample_tree(g, relaxed, config.epsilon_prime, random.Random(summary.seed))
+            sampled = sample_tree(g, relaxed, config.epsilon_prime, rng)
             assert (sampled.total_length, sampled.total_spend) == (
                 summary.length, summary.spend)
             # on a falling ladder a reverted edge lengthens the tree

@@ -360,3 +360,25 @@ def test_parse_sets_off_no_collection_while_it_reads(collector_on, document, n, 
     finally:
         gc.callbacks.remove(hook)
     assert starts == []
+
+
+@pytest.mark.parametrize("document,n,m", [(_dag_document, 400, 5000),
+                                          (_imst_document, 300, 2000)],
+                         ids=["wildag", "imst"])
+def test_serialize_sets_off_no_collection_while_it_builds(collector_on, document, n, m):
+    from netupgrade import serialization
+
+    data = document(n, m)
+    problem = parse(data)
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start" and sys._getframe(1).f_code.co_filename == serialization.__file__:
+            starts.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        assert serialize(problem) == serialize(parse(data))
+    finally:
+        gc.callbacks.remove(hook)
+    assert starts == [] and gc.isenabled()
