@@ -75,9 +75,6 @@ class UnionFind:
             self.rank[ru] += 1
         return True
 
-    def components(self) -> int:
-        return sum(1 for i, p in enumerate(self.parent) if self.find(i) == i)
-
 
 def kruskal(ordered, parent: list, limit: int) -> list:
     """The records of ``ordered``, endpoints at positions 1 and 2, that join

@@ -2,9 +2,10 @@
 
 Pipeline: expand improvement ladders into a multigraph and solve the two-cost
 relaxation at eps' = eps/2 once; then, per trial, independently down-sample
-each improved edge to its free level with probability 1 - 1/(1+eps')^2.  The
-best budget-feasible tree over all trials is returned; feasibility is
-guaranteed unconditionally by trial filtering plus an all-level-0 fallback.
+each improved edge to its free level with probability 1 - 1/(1+eps')^2.  After
+the trials, the answer is the relaxed tree if it fits the budget (then it is
+optimal), else the first feasible trial of best length, else an all-level-0
+fallback, so the spend never exceeds the budget.
 
 With trials sized from the per-trial failure bound 2/e this satisfies
 Pr[length >= (1-eps)*OPT and spend <= B] >= 1-delta.
@@ -104,7 +105,9 @@ class TrialSummary:
 class ImstResult:
     solution: TreeSolution
     trials: list[TrialSummary] = field(default_factory=list)
-    best_trial: int | None = None  # None means the fallback tree was used
+    # the index of the returned trial; None when no trial's tree was returned
+    # (the relaxed tree fitted the budget, or the fallback tree was used)
+    best_trial: int | None = None
 
 
 def _map_lengths(graph: UpgradableGraph, f) -> UpgradableGraph:
@@ -167,10 +170,15 @@ def _plan(graph: UpgradableGraph, budget: int, eps_prime: Fraction,
 
 def imst_solve(graph: UpgradableGraph, budget: int, config: RandomizedConfig,
                minimize: bool = False) -> ImstResult:
-    """Best budget-feasible tree over the configured number of trials.
+    """A budget-feasible tree, chosen once after every trial is drawn.
 
-    Always returns a tree with total_spend <= budget; the all-level-0 maximum
-    spanning tree is the fallback when every sampled trial lands over budget.
+    The relaxed tree if it fits the budget: it is no worse than OPT(B), so it
+    is the optimum and is returned with ``best_trial`` None.  Otherwise the
+    first feasible trial of best length, with its index as ``best_trial``.
+    Otherwise the all-level-0 maximum spanning tree, with ``best_trial`` None.
+    So the spend never exceeds the budget, and None means that no trial's
+    tree was returned.
+
     For ``minimize`` the ladders must fall (else rise), and their lengths are
     reflected (max-base equivalence on the graphic matroid), solved as
     maximization, and reported in original units.
@@ -183,18 +191,11 @@ def imst_solve(graph: UpgradableGraph, budget: int, config: RandomizedConfig,
     require_valid(graph, improvement="decrease" if minimize else "increase")
     if budget < 0:
         raise DisconnectedGraphError("no budget-feasible spanning tree exists")
-    better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
-
     eps_prime = config.epsilon_prime
     relaxed, length, spend, losses, fallback = _plan(graph, budget, eps_prime, minimize)
     keep = _keep_probability(eps_prime)
-    relaxed_fits = spend <= budget
-
-    # the best tree so far as (length, spend, reverted losses); the relaxed
-    # tree is the one that reverts nothing
-    best = None
-    best_trial: int | None = None
     trials: list[TrialSummary] = []
+    reverts: list[list] = []
     # one stream per solve: trial i reads the draws after trial i - 1's
     draw = random.Random(splitmix64(config.master_seed & MASK64)).random
     for i in range(config.num_trials):
@@ -203,16 +204,15 @@ def imst_solve(graph: UpgradableGraph, budget: int, config: RandomizedConfig,
         for _, lost_length, lost_spend in reverted:
             trial_length -= lost_length
             trial_spend -= lost_spend
-        feasible = trial_spend <= budget
-        trials.append(TrialSummary(i, trial_length, trial_spend, feasible))
-        if feasible and (best is None or better(trial_length, best[0])):
-            best, best_trial = (trial_length, trial_spend, reverted), i
-        if relaxed_fits and (best is None or better(length, best[0])):
-            best, best_trial = (length, spend, ()), i
-    if best is None:
-        return ImstResult(solution_from_choices(graph, dict.fromkeys(fallback, 0)), trials)
-    best_length, best_spend, reverted = best
+        trials.append(TrialSummary(i, trial_length, trial_spend, trial_spend <= budget))
+        reverts.append(reverted)
     choices = dict(relaxed)
-    for eid, _, _ in reverted:
+    if spend <= budget:
+        return ImstResult(TreeSolution(choices, length, spend), trials)
+    feasible = [t for t in trials if t.feasible]
+    if not feasible:
+        return ImstResult(solution_from_choices(graph, dict.fromkeys(fallback, 0)), trials)
+    best = (min if minimize else max)(feasible, key=lambda t: t.length)
+    for eid, _, _ in reverts[best.index]:
         choices[eid] = 0
-    return ImstResult(TreeSolution(choices, best_length, best_spend), trials, best_trial)
+    return ImstResult(TreeSolution(choices, best.length, best.spend), trials, best.index)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from netupgrade.instances import (
     UpgradableEdge,
     UpgradableGraph,
 )
-from netupgrade.oracle import exact_imst
+from netupgrade.oracle import exact_imst, spanning_trees
 
 
 def cfg(eps="3/10", delta="1/5", seed=0, trials=None):
@@ -150,20 +151,80 @@ def test_trial_summaries_recorded():
         assert t.feasible == (t.spend <= 4)
 
 
-@given(st.integers(0, 5000), st.integers(3, 6), st.integers(0, 15))
-@settings(max_examples=40, deadline=None)
-def test_minimize_returns_feasible_tree(seed, n, budget):
-    m = min(n * (n - 1) // 2, n + 1)
-    up = generate.gen_random_graph(n, m, max_len=9, max_cost=4, seed=seed)
-    # build a min-instance: reverse each ladder's lengths, keep costs sorted
-    down = UpgradableGraph(up.n, tuple(
+def reversed_ladders(up):
+    """A min-instance: each ladder's lengths reversed, its costs kept."""
+    return UpgradableGraph(up.n, tuple(
         UpgradableEdge(e.id, e.u, e.v, tuple(
             ImprovementLevel(lv.length, lc.cost)
             for lv, lc in zip(reversed(e.ladder), e.ladder)))
         for e in up.edges))
+
+
+@given(st.integers(0, 5000), st.integers(3, 6), st.integers(0, 15))
+@settings(max_examples=40, deadline=None)
+def test_minimize_returns_feasible_tree(seed, n, budget):
+    m = min(n * (n - 1) // 2, n + 1)
+    down = reversed_ladders(generate.gen_random_graph(n, m, max_len=9, max_cost=4, seed=seed))
     res = imst_solve(down, budget, cfg(seed=seed), minimize=True)
     assert res.solution.total_spend <= budget
     assert len(res.solution.choices) == down.n - 1
+
+
+def brute_force_minimum(graph, budget):
+    """The shortest budget-feasible tree's length, over every spanning tree
+    times every level of each of its edges."""
+    best = None
+    for tree in spanning_trees(graph.n, [(e.u, e.v) for e in graph.edges]):
+        for levels in itertools.product(*(graph.edges[i].ladder for i in tree)):
+            if sum(lvl.cost for lvl in levels) <= budget:
+                length = sum(lvl.length for lvl in levels)
+                best = length if best is None else min(best, length)
+    return best
+
+
+def minimize_runs(graph, budget, eps, seeds):
+    """(OPT, the additive bound OPT + eps*((n - 1)*M - OPT), the lengths that
+    master seeds 0 .. seeds - 1 return), checking spend <= budget on each."""
+    opt = brute_force_minimum(graph, budget)
+    big_m = max(lvl.length for e in graph.edges for lvl in e.ladder)
+    lengths = []
+    for seed in range(seeds):
+        sol = imst_solve(graph, budget, cfg(eps=eps, seed=seed), minimize=True).solution
+        assert sol.total_spend <= budget
+        lengths.append(sol.total_length)
+    return opt, opt + Fraction(eps) * ((graph.n - 1) * big_m - opt), lengths
+
+
+def test_minimize_meets_the_additive_bound():
+    # criterion 3's test at delta = 1/5: per instance, the share of seeds
+    # within the bound stays above 1 - delta less three standard deviations
+    seeds, target = 20, 0.8
+    floor = target - 3 * math.sqrt(target * (1 - target) / seeds)
+    rng = random.Random(1212)
+    beaten = 0
+    for _ in range(40):
+        n = rng.randint(4, 6)
+        m = rng.randint(n, min(n * (n - 1) // 2, n + 3))
+        g = reversed_ladders(generate.gen_random_graph(
+            n, m, max_len=rng.choice((9, 30, 100)), max_cost=4, levels=3,
+            seed=rng.randrange(1 << 30)))
+        total = sum(e.ladder[-1].cost for e in g.edges)
+        budget = rng.randint(total // 8, total // 2)
+        opt, bound, lengths = minimize_runs(g, budget, "3/10", seeds)
+        assert min(lengths) >= opt
+        assert sum(length <= bound for length in lengths) >= floor * seeds, (
+            n, m, budget, opt, bound, lengths)
+        beaten += max(lengths) > opt
+    assert beaten > 0
+
+
+def test_minimize_can_exceed_one_plus_eps_times_opt():
+    # the reflection carries the maximizing bound over only additively
+    g = reversed_ladders(generate.gen_random_graph(5, 6, max_len=30, max_cost=4,
+                                                   levels=2, seed=74))
+    opt, bound, lengths = minimize_runs(g, 8, "3/10", 20)
+    assert (opt, bound, set(lengths)) == (20, Fraction(202, 5), {20, 23, 26, 27})
+    assert max(lengths) > Fraction(13, 10) * opt
 
 
 def test_fewer_trials_record_a_prefix_of_more():

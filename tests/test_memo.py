@@ -206,11 +206,12 @@ def sample_tree(graph, choices, eps_prime, rng):
 
 def reference_imst_solve(graph, budget, config, minimize=False):
     """The solver before its relaxation was memoized: validate, shift,
-    expand and relax on every call."""
+    expand and relax on every call, draw every trial as a tree, then return
+    the relaxed tree if it fits, else the first feasible trial of best
+    length, else the fallback."""
     assert validate(graph, improvement="decrease" if minimize else "increase") == []
     assert budget >= 0
     work = minimize_transform(graph) if minimize else graph
-    better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
     shifted = analysis_shift(work, config)
     mg = expand_to_multigraph(shifted)
     choices = choices_from_copies(mg, two_cost_mst(mg, budget, config.epsilon_prime).copy_ids)
@@ -218,19 +219,21 @@ def reference_imst_solve(graph, budget, config, minimize=False):
     base_edges = [(e.id, e.u, e.v, e.ladder[0].length) for e in work.edges]
     fallback = solution_from_choices(
         graph, {eid: 0 for eid in max_spanning_tree(work.n, base_edges)})
-    best, best_trial, trials = None, None, []
+    sampled, trials = [], []
     rng = random.Random(splitmix64(config.master_seed & MASK64))
     for i in range(config.num_trials):
-        sampled = sample_tree(graph, choices, config.epsilon_prime, rng)
-        trials.append(TrialSummary(i, sampled.total_length, sampled.total_spend,
-                                   sampled.total_spend <= budget))
-        for cand in (sampled, pipeline_sol):
-            if cand.total_spend <= budget and (
-                    best is None or better(cand.total_length, best.total_length)):
-                best, best_trial = cand, i
-    if best is None:
-        best, best_trial = fallback, None
-    return ImstResult(best, trials, best_trial)
+        sampled.append(sample_tree(graph, choices, config.epsilon_prime, rng))
+        trials.append(TrialSummary(i, sampled[i].total_length, sampled[i].total_spend,
+                                   sampled[i].total_spend <= budget))
+    if pipeline_sol.total_spend <= budget:
+        return ImstResult(pipeline_sol, trials, None)
+    feasible = [i for i in range(len(trials)) if trials[i].feasible]
+    if not feasible:
+        return ImstResult(fallback, trials, None)
+    sign = -1 if minimize else 1
+    # the first of equal lengths wins
+    best = max(feasible, key=lambda i: (sign * trials[i].length, -i))
+    return ImstResult(sampled[best], trials, best)
 
 
 def ladder_graph(rng: random.Random, minimize: bool, min_levels: int = 2) -> UpgradableGraph:
@@ -315,14 +318,38 @@ def test_upgrade_heavy_solves_equal_the_unmemoized_pipeline():
         cases += 1
         upgraded += sum(lvl > 0 for lvl in relaxed.values())
         tree_edges += len(relaxed)
-        if got.best_trial is None:
-            winners["fallback"] += 1
-        elif got.solution.choices == relaxed:
+        # a winning trial reverts some edge: one that reverts none spends
+        # what the relaxed tree spends, and that tree is returned if it fits
+        if got.solution.choices == relaxed:
             winners["relaxed tree"] += 1
+            assert got.best_trial is None
+        elif got.best_trial is None:
+            winners["fallback"] += 1
         else:
             winners["reverting trial"] += 1
     assert cases >= 400 and 2 * upgraded > tree_edges
     assert min(winners.values()) > 0, winners
+
+
+def test_best_trial_names_the_returned_tree():
+    # the relaxed tree fits on about half of these and a trial wins on most
+    # of the rest, so both outcomes are checked
+    relaxed_returned = trial_returned = 0
+    for seed in range(30):
+        g = generate.gen_random_graph(7, 12, levels=3, seed=seed)
+        budget = sum(e.ladder[-1].cost for e in g.edges) // 2
+        config = RandomizedConfig(Fraction(3, 10), Fraction(1, 5), seed)
+        res = imst_solve(g, budget, config)
+        relaxed = solution_from_choices(g, relaxed_choices(g, budget, config, False))
+        if relaxed.total_spend <= budget:
+            assert (res.solution, res.best_trial) == (relaxed, None)
+            relaxed_returned += 1
+        if res.best_trial is not None:
+            best = res.trials[res.best_trial]
+            assert (best.length, best.spend, best.feasible) == (
+                res.solution.total_length, res.solution.total_spend, True)
+            trial_returned += 1
+    assert relaxed_returned > 0 and trial_returned > 0
 
 
 def test_every_trial_replays_through_sample_improved_forest():
