@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -196,6 +197,10 @@ def _longest_path(problem: Problem) -> int:
     return oracle.exact_wildag(problem.dag, problem.budget)[0]
 
 
+def _shortest_path(problem: Problem) -> int:
+    return oracle.exact_wisdag(problem.dag, problem.budget)[0]
+
+
 # algorithm -> (optimum(problem), meets(length, spend, optimum, budget, eps)):
 # the oracle's optimum and the paper's guarantee that verify checks each run
 # of the algorithm's solve entry against
@@ -209,6 +214,9 @@ _GUARANTEES = {
     "wildag-exact": (_longest_path, lambda l, s, opt, b, e: l == opt and s <= b),
     "wildag-fptas": (_longest_path, lambda l, s, opt, b, e: l >= (1 - e) * opt and s <= b),
     "wildag-uniform": (_longest_path, lambda l, s, opt, b, e: l == opt and s <= b),
+    "wisdag-exact": (_shortest_path, lambda l, s, opt, b, e: l == opt and s <= b),
+    "wisdag-fptas": (_shortest_path, lambda l, s, opt, b, e: l <= (1 + e) * opt and s <= b),
+    "wisdag-uniform": (_shortest_path, lambda l, s, opt, b, e: l == opt and s <= b),
 }
 
 
@@ -221,7 +229,9 @@ def _require_size(option: str, size: int, algo: str) -> None:
 
 
 def _verify_problem(algo: str, size: int, seed: int) -> Problem:
-    """A random instance for ``algo``, budget drawn up to half its total cost."""
+    """A random instance for ``algo``, budget drawn up to half its total cost.
+    A ``wisdag-*`` instance is the ``wildag-*`` one with each edge's base and
+    improved lengths swapped, so that upgrades shorten edges."""
     m = min(size * (size - 1) // 2, size + size // 2 + 1)
     rng = random.Random(seed ^ 0x5EED)
     if algo in TREE_ALGOS:
@@ -229,7 +239,10 @@ def _verify_problem(algo: str, size: int, seed: int) -> Problem:
         total = sum(e.ladder[-1].cost for e in graph.edges)
         return Problem("imst", rng.randint(0, max(1, total // 2)), graph=graph)
     dag = generate.gen_random_dag(size, m, max_len=6, max_cost=5, seed=seed,
-                                  uniform_cost=1 if algo == "wildag-uniform" else None)
+                                  uniform_cost=1 if algo.endswith("-uniform") else None)
+    if algo.startswith("wisdag"):
+        dag = dataclasses.replace(dag, edges=tuple(
+            e._replace(base=e.improved, improved=e.base) for e in dag.edges))
     total = sum(e.cost for e in dag.edges)
     return Problem("wildag", rng.randint(0, max(1, total // 2)), dag=dag)
 
@@ -273,7 +286,7 @@ def _verify_one(args, i: int, eps: Fraction, delta: Fraction) -> dict:
     successes, ratios = 0, []
     for opts, best in runs:
         length, spend, _edges, _feasible = _run_algo(algo, problem, problem.budget, opts)
-        ratios.append(length / best if best else 1.0)
+        ratios.append(length / best if best else (1.0 if length == best else math.inf))
         successes += meets(length, spend, best, problem.budget, eps)
     fraction = successes / len(runs)
     target = 1 - float(delta)  # imst, randomized, passes within 3σ of a 1 − δ success rate

@@ -17,7 +17,12 @@ differ only in the table and the budget they pass:
   the optimum.
 
 A vertex collects its candidates in a scratch row by spend, a list or a
-dict, and keeps only the frontier read off it.  No parent pointers are kept:
+dict, and keeps only the frontier read off it.  Base copies are free, so
+every frontier starts at spend 0, and the best base-copy extension of the
+heads' spend-0 pairs bounds every pair a vertex keeps; an out-edge whose
+best candidate is worse than that bound cannot add a kept pair and is
+skipped (the simplest label bound of resource-constrained shortest paths,
+Dumitrescu & Boland, Networks 42(3), 2003).  No parent pointers are kept:
 the answer's path is recovered from the frontiers alone, and every solver
 returns it totalled by ``instances.evaluate_path``.
 """
@@ -71,7 +76,18 @@ def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, weights):
     length.  Lengths are negated when maximizing, so lower is better.
     v's row, scratch that lives only while v is filled, holds v's best
     candidate length per spend: each out-edge extends every pair of its head
-    at base length and, within the budget, improved at its price.  The row
+    at base length and, within the budget, improved at its price.
+
+    Before the row is filled, ``bound`` is the best base candidate from
+    the heads' spend-0 pairs.  Every frontier starts at spend 0, by
+    induction from the sink's (0, 0), since a base copy costs nothing; so
+    v's spend-0 pair is at most ``bound``, and so is every pair v keeps.  An
+    out-edge whose best candidate, its head's best length plus the better of
+    its two lengths, is strictly above ``bound`` is skipped: each of its
+    candidates sits at spend >= 0 behind v's spend-0 pair and can neither
+    become nor displace a kept pair.  An edge that attains ``bound`` is
+    kept, so the frontiers, and the path rebuilt from them, are the ones
+    the unskipped DP finds.  The row reads only the remaining edges.  It
     is a list indexed by spend 0..top, where top = min(budget, largest head
     spend + price), when top + 1 is at most twice the head pairs read;
     otherwise it is a dict.  So a row costs at most a constant times its
@@ -95,20 +111,28 @@ def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, weights):
         edges = out.get(v)
         if edges is None:
             continue
-        top = reads = 0
+        bound = INF
         for e in edges:
+            x = pairs[e.head][0][0] + sign * weights[e.id][0]
+            if x < bound:
+                bound = x
+        live, top, reads = [], 0, 0
+        for e in edges:
+            base, improved, price = weights[e.id]
             down = pairs[e.head]
+            step, lift = sign * base, sign * improved
+            if down[-1][0] + (step if step < lift else lift) > bound:
+                continue
+            live.append((down, step, lift, price))
             reads += len(down)
-            t = down[-1][1] + weights[e.id][2]
+            t = down[-1][1] + price
             if t > top:
                 top = t
         if top > budget:
             top = budget
         row = [INF] * (top + 1) if top < 2 * reads else defaultdict(lambda: INF)
-        for e in edges:
-            base, improved, price = weights[e.id]
-            step, lift = sign * base, sign * improved
-            for w, s in pairs[e.head]:
+        for down, step, lift, price in live:
+            for w, s in down:
                 x = w + step
                 if x < row[s]:
                     row[s] = x

@@ -173,7 +173,7 @@ def test_verify_unknown_algo(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "--algo", "nope", "--count", "1"),
     ("verify", "--algo", "nope", "--count", "0"),
-    ("verify", "--algo", "wisdag-exact", "--count", "0"),
+    ("verify", "--algo", "exact-wisdag", "--count", "0"),
     ("bench", "--algo", "nope", "--sizes", "8"),
     ("bench", "--algo", "imst", "--sizes", ""),
 ])
@@ -275,6 +275,56 @@ def test_verify_fails_a_uniform_path_that_overspends(capsys, monkeypatch):
                          "--seed", "1")
     assert (code, err) == (0, "")
     assert out.splitlines()[1].endswith(",False")
+
+
+SHORTEST = ["wisdag-exact", "wisdag-fptas", "wisdag-uniform"]
+
+
+@pytest.mark.parametrize("algo", SHORTEST)
+def test_verify_grades_the_shortest_path_entries(algo, capsys):
+    code, out, err = run(capsys, "verify", "--algo", algo, "--count", "12", "--size", "7",
+                         "--seed", "5")
+    rows = out.splitlines()[1:]
+    assert (code, err, len(rows)) == (0, "", 12)
+    assert all(f",{algo}," in row and row.endswith(",True") for row in rows)
+
+
+@pytest.mark.parametrize("algo", SHORTEST)
+@pytest.mark.parametrize("miss", ["longer", "overspent"])
+def test_verify_fails_a_shortest_path_that_misses_its_guarantee(algo, miss, capsys, monkeypatch):
+    # the oracle's shortest path, made longer than (1 + eps) * OPT or one unit over budget
+    import dataclasses
+
+    from netupgrade import cli, oracle
+
+    def missed(dag, budget, opts):
+        path = oracle.exact_wisdag(dag, budget)[1]
+        if miss == "longer":
+            return dataclasses.replace(path, total_length=2 * path.total_length + 1)
+        return dataclasses.replace(path, total_spend=budget + 1)
+
+    monkeypatch.setitem(cli.DAG_ALGOS, algo, missed)
+    code, out, err = run(capsys, "verify", "--algo", algo, "--count", "1", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].endswith(",False")
+
+
+def test_verify_ratio_of_a_longer_path_to_a_zero_optimum_is_infinite(capsys, monkeypatch):
+    # seed 7's shortest path has length 0; a path of length 1 is no 1.0 ratio
+    import dataclasses
+
+    from netupgrade import cli, oracle
+
+    def longer(dag, budget, opts):
+        path = oracle.exact_wisdag(dag, budget)[1]
+        assert path.total_length == 0
+        return dataclasses.replace(path, total_length=1)
+
+    monkeypatch.setitem(cli.DAG_ALGOS, "wisdag-exact", longer)
+    code, out, err = run(capsys, "verify", "--algo", "wisdag-exact", "--count", "1",
+                         "--size", "7", "--seed", "7")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].endswith(",0,0.0,inf,False")
 
 
 def test_seed_env_default(tmp_path, capsys, monkeypatch):

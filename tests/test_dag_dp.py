@@ -209,10 +209,12 @@ def test_fptas_eps_range_checked():
 INF = float("inf")
 
 
-def reference_frontier_dp(dag, budget, minimize, weights):
-    """The frontier DP before spend-indexed rows: a dict row per vertex, and
-    the (edge id, improved) step of each spend's best length recorded as its
-    candidate is made, so the path is read back from those records."""
+def reference_frontiers(dag, budget, minimize, weights):
+    """((edge ids, flags), pairs): the frontier DP before spend-indexed rows
+    and before out-edges were skipped by a bound.  A dict row per vertex
+    reads every out-edge, and the (edge id, improved) step of each spend's
+    best length is recorded as its candidate is made, so the path is read
+    back from those records.  pairs[v] is v's frontier."""
     sign = 1 if minimize else -1
     out = {}
     for e in st_edges(dag):
@@ -257,7 +259,11 @@ def reference_frontier_dp(dag, budget, minimize, weights):
         flags.append(imp)
         s -= weights[eid][2] if imp else 0
         v = dag.edges[eid].head
-    return edge_ids, flags
+    return (edge_ids, flags), pairs
+
+
+def reference_frontier_dp(dag, budget, minimize, weights):
+    return reference_frontiers(dag, budget, minimize, weights)[0]
 
 
 def frontier_case(seed, n, density, max_len, max_cost, budget_kind, minimize, table, unit):
@@ -302,18 +308,18 @@ def test_frontier_dp_matches_the_dict_row_reference(seed, n, density, max_len, m
     assert dag_dp._frontier_dp(dag, budget, minimize, weights) == want
 
 
-def filled_rows(*args):
-    """(``_frontier_dp(*args)``, [(row, reads)]): the DP's result and every
-    row it fills, with the head pairs it read, taken from its frame by a line
-    hook at the statement that reads the frontier off the row."""
+def traced_locals(marker, names, *args):
+    """(``_frontier_dp(*args)``, [values]): the DP's result and the locals
+    ``names`` of its frame, as a tuple, each time a line hook sees it reach
+    the line holding ``marker``, before that line runs."""
     code = dag_dp._frontier_dp.__code__
     lines, first = inspect.getsourcelines(code)
-    at = first + next(i for i, line in enumerate(lines) if "kept, floor = [], INF" in line)
-    rows = []
+    at = first + next(i for i, line in enumerate(lines) if marker in line)
+    seen = []
 
     def local(frame, event, arg):
         if event == "line" and frame.f_lineno == at:
-            rows.append((frame.f_locals["row"], frame.f_locals["reads"]))
+            seen.append(tuple(frame.f_locals[name] for name in names))
         return local
 
     def hook(frame, event, arg):
@@ -322,9 +328,16 @@ def filled_rows(*args):
     before = sys.gettrace()
     sys.settrace(hook)
     try:
-        return dag_dp._frontier_dp(*args), rows
+        return dag_dp._frontier_dp(*args), seen
     finally:
         sys.settrace(before)
+
+
+def filled_rows(*args):
+    """(``_frontier_dp(*args)``, [(row, reads)]): the DP's result and every
+    row it fills, with the head pairs it read, taken at the statement that
+    reads the frontier off the row."""
+    return traced_locals("kept, floor = [], INF", ("row", "reads"), *args)
 
 
 def test_both_row_kinds_run_and_list_rows_stay_within_twice_their_reads():
@@ -344,3 +357,44 @@ def test_both_row_kinds_run_and_list_rows_stay_within_twice_their_reads():
             if type(row) is list:
                 assert len(row) <= 2 * reads
     assert kinds[list] > 100 and kinds[dict] > 100, kinds
+
+
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 40), density=st.integers(1, 4),
+       max_len=st.sampled_from([10, 1000, 10**7]), max_cost=st.sampled_from([10, 10**7]),
+       budget_kind=st.sampled_from(["zero", "small", "total", "huge"]),
+       minimize=st.booleans(), table=st.sampled_from(["budget", "uniform", "fptas", "free"]),
+       unit=st.integers(2, 300))
+@settings(max_examples=100, deadline=None)
+# free upgrades on a shortest-path DAG: the bound sits above the spend-0
+# pair at 7 of 8 vertices, and 17 out-edges are skipped
+@example(37629, 10, 4, 10, 10**7, "huge", True, "free", 2)
+def test_every_vertex_keeps_the_reference_frontier(seed, n, density, max_len, max_cost,
+                                                   budget_kind, minimize, table, unit):
+    """Out-edges skipped by the spend-0 bound change no vertex's frontier.
+    In the free table a price-0 upgrade puts an improved candidate at spend
+    0, so there the bound can sit above the frontier's spend-0 pair."""
+    dag, budget, weights = frontier_case(seed, n, density, max_len, max_cost,
+                                         budget_kind, minimize, table, unit)
+    path, pairs = reference_frontiers(dag, budget, minimize, weights)
+    got, kept = traced_locals("pairs[v] = kept", ("v", "kept"), dag, budget, minimize, weights)
+    assert got == path
+    assert [v for v, _ in kept] == [v for v in reversed(dag.topological_order())
+                                    if v in pairs and v != dag.sink]
+    for v, frontier in kept:
+        assert frontier == pairs[v], v
+
+
+def test_an_edge_beaten_by_the_spend_0_bound_reads_no_head_pair():
+    """The source reaches the sink directly at length 100, or through a
+    chain of k edges that each add 1 when upgraded.  The chain's head keeps
+    k + 1 pairs, all shorter than 100, so the source's row reads only the
+    sink's one pair."""
+    k = 5
+    edges = [DagEdge(0, 0, k + 1, 100, 100, 1), DagEdge(1, 0, 1, 0, 1, 1)]
+    edges += [DagEdge(i + 1, i, i + 1, 0, 1, 1) for i in range(1, k + 1)]
+    dag = DagInstance(k + 2, tuple(edges), 0, k + 1)
+    weights = [(e.base, e.improved, e.cost) for e in dag.edges]
+    got, rows = filled_rows(dag, k, False, weights)
+    assert got == reference_frontier_dp(dag, k, False, weights) == ([0], [False])
+    # chain vertices k..1 read their heads' 1..k pairs; the source reads 1, not 1 + (k + 1)
+    assert [reads for _row, reads in rows] == list(range(1, k + 1)) + [1]
