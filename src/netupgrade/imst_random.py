@@ -7,8 +7,8 @@ the trials, the answer is the relaxed tree if it fits the budget (then it is
 optimal), else the first feasible trial of best length, else an all-level-0
 fallback, so the spend never exceeds the budget.
 
-With trials sized from the per-trial failure bound 2/e this satisfies
-Pr[length >= (1-eps)*OPT and spend <= B] >= 1-delta.
+With ceil(log(1/delta) / log(e/2)) trials, sized from the per-trial failure
+bound 2/e, this satisfies Pr[length >= (1-eps)*OPT and spend <= B] >= 1-delta.
 
 The analysis first shifts every length so that its Chernoff preconditions
 hold: it maps every length x to n*x + shift, with the shift at least
@@ -19,8 +19,9 @@ trials read only the unshifted graph.
 
 The relaxation depends only on (budget, eps', minimize), so it is kept in the
 instance's memo (``instances._memo``) as a small plan: the relaxed tree's
-choices and totals, the fallback tree, and one record per upgraded edge of
-the relaxed tree, in ascending edge id, holding the length and spend a trial
+choices and totals, the fallback tree (``max_spanning_tree`` on level-0
+lengths, built once per plan), and one record per upgraded edge of the
+relaxed tree, in ascending edge id, holding the length and spend a trial
 loses when it reverts that edge to level 0.  A trial is then its draws alone:
 ``sample_improved_forest`` draws one ``random()`` per record and returns the
 records it reverts, and the trial's totals are the relaxed totals minus their
@@ -55,8 +56,7 @@ from .instances import (
     require_valid,
     solution_from_choices,
 )
-# max_spanning_tree stays importable here: benchmark/tracing.py rebinds it
-from .mst_uniform import base_tree, max_spanning_tree  # noqa: F401
+from .mst_uniform import max_spanning_tree
 from .two_cost import two_cost_mst
 
 # per-trial failure constant: the analysis bounds the two failure modes by
@@ -87,9 +87,12 @@ class RandomizedConfig:
 
     @property
     def num_trials(self) -> int:
+        """``trials``, else ceil(log(1/delta) / log(1/PER_TRIAL_FAILURE)), at
+        least 1; log(1/delta) is exact for a delta below the smallest float."""
         if self.trials is not None:
             return self.trials
-        need = math.log(1 / float(self.delta)) / math.log(1 / PER_TRIAL_FAILURE)
+        log_inverse = math.log(self.delta.denominator) - math.log(self.delta.numerator)
+        need = log_inverse / math.log(1 / PER_TRIAL_FAILURE)
         return max(1, math.ceil(need))
 
 
@@ -148,7 +151,8 @@ def _plan(graph: UpgradableGraph, budget: int, eps_prime: Fraction,
     edge ids), the part of a solve that no master seed changes; memoized on
     the graph.  The losses hold (edge id, length lost, spend lost) for each
     upgraded edge of the relaxed tree, in ascending edge id: what a trial
-    loses when it reverts that edge to level 0."""
+    loses when it reverts that edge to level 0.  The fallback is the maximum
+    spanning tree on level-0 lengths (reflected, for ``minimize``)."""
     key = ("imst_plan", budget, eps_prime, minimize)
     memo = _memo(graph)
     plan = memo.get(key)
@@ -163,8 +167,10 @@ def _plan(graph: UpgradableGraph, budget: int, eps_prime: Fraction,
                 ladder = graph.edges[eid].ladder
                 losses.append((eid, ladder[lvl].length - ladder[0].length,
                                ladder[lvl].cost - ladder[0].cost))
+        fallback = max_spanning_tree(work.n, [(e.id, e.u, e.v, e.ladder[0].length)
+                                              for e in work.edges])
         plan = memo[key] = (tuple(choices.items()), relaxed.total_length,
-                            relaxed.total_spend, tuple(losses), base_tree(work))
+                            relaxed.total_spend, tuple(losses), tuple(fallback))
     return plan
 
 

@@ -21,15 +21,16 @@ in the instance's ``__dict__``, outside the dataclass fields, so ``==``,
 ``hash`` and ``repr`` never see it.  It holds successes only.
 ``require_valid`` records a passed validation per ``improvement`` direction
 and never a failure, so an invalid instance raises the same violations on
-every call.  A DAG keeps its head lists (``heads[v]``, the heads of v's
-out-edges), its topological order, the vertices its source reaches and its
-source-sink edges (``st_edges``) there, so validation,
+every call.  A DAG keeps three entries there: ``"kahn"``, its head lists
+(``heads[v]``, the heads of v's out-edges) with the topological order built
+from them; ``"from_s"``, the vertices its source reaches; and
+``"st_edges"``, its source-sink edges.  So validation,
 ``effective_max_length`` and the frontier DP share one computation of each.
-Reachability is one sweep of the kept order over the head lists.
-A graph keeps its ladders as plain tuples for ``solution_from_choices``; the
-solvers keep their derived plans (the randomized solver's relaxation, the
-base-length spanning tree) there too.  The rule assumes the instance is
-built from tuples and never mutated.
+Reachability is one sweep of the kept order over the head lists.  A graph
+keeps only what its solvers derive: uimst's two edge orders
+(``"uimst_orders"``) and one ``("imst_plan", ...)`` entry per randomized
+relaxation.  The rule assumes the instance is built from tuples and never
+mutated.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class DagInstance:
 
         Raises InvalidInstanceError if the edge relation has a cycle.
         """
-        return list(_order(self))
+        return list(_kahn(self)[1])
 
     def effective_max_length(self, budget: int) -> int:
         """Largest edge length realizable on some s-t path within `budget`.
@@ -178,14 +179,6 @@ def _head_lists(n: int, edges) -> list[list[int]]:
     return heads
 
 
-def _heads(dag: DagInstance) -> list[list[int]]:
-    """The DAG's head lists; memoized, shared, never mutated."""
-    memo = _memo(dag)
-    if "heads" not in memo:
-        memo["heads"] = _head_lists(dag.n, dag.edges)
-    return memo["heads"]
-
-
 def _topological_order(n: int, heads: list[list[int]]) -> list[int] | None:
     indeg = [0] * n
     for w in chain.from_iterable(heads):
@@ -203,24 +196,26 @@ def _topological_order(n: int, heads: list[list[int]]) -> list[int] | None:
     return order if len(order) == n else None
 
 
-def _order(dag: DagInstance) -> list[int]:
-    """Kahn's order, smallest vertex id first; memoized, shared, never mutated.
+def _kahn(dag: DagInstance) -> tuple[list[list[int]], list[int]]:
+    """(head lists, Kahn's order smallest vertex id first), one memo entry,
+    shared, never mutated.
 
-    Raises InvalidInstanceError if the edge relation has a cycle.
+    Raises InvalidInstanceError on an endpoint out of range or a cycle.
     """
     memo = _memo(dag)
-    if "order" not in memo:
-        order = _topological_order(dag.n, _heads(dag))
+    if "kahn" not in memo:
+        heads = _head_lists(dag.n, dag.edges)
+        order = _topological_order(dag.n, heads)
         if order is None:
             raise InvalidInstanceError(["not acyclic"])
-        memo["order"] = order
-    return memo["order"]
+        memo["kahn"] = heads, order
+    return memo["kahn"]
 
 
 def reachable_from(dag: DagInstance, start: int) -> set[int]:
     """Vertices reachable from `start` along the edges: one forward sweep of
     the topological order, so the DAG must be acyclic."""
-    order, heads = _order(dag), _heads(dag)
+    heads, order = _kahn(dag)
     seen = {start}
     for v in order:
         if v in seen:
@@ -231,7 +226,7 @@ def reachable_from(dag: DagInstance, start: int) -> set[int]:
 def reaching_to(dag: DagInstance, target: int) -> set[int]:
     """Vertices that reach `target` along the edges: one reverse sweep of the
     topological order, so the DAG must be acyclic."""
-    order, heads = _order(dag), _heads(dag)
+    heads, order = _kahn(dag)
     seen = {target}
     for v in reversed(order):
         if not seen.isdisjoint(heads[v]):
@@ -396,12 +391,10 @@ def expand_to_multigraph(graph: UpgradableGraph) -> MultiGraph:
 
 def solution_from_choices(graph: UpgradableGraph, choices: dict[int, int]) -> TreeSolution:
     """Build a TreeSolution, computing totals from the graph's ladders."""
-    ladders = _memo(graph).get("ladders")
-    if ladders is None:  # read on every tree solve: plain tuples read faster than records
-        ladders = _memo(graph)["ladders"] = [tuple(map(tuple, e.ladder)) for e in graph.edges]
+    edges = graph.edges
     length = spend = 0
     for eid, lvl in choices.items():
-        step_length, step_cost = ladders[eid][lvl]
+        step_length, step_cost = edges[eid].ladder[lvl]
         length += step_length
         spend += step_cost
     return TreeSolution(dict(choices), length, spend)

@@ -5,9 +5,10 @@ extended to a spanning tree by base edges.  On rising two-level ladders it
 is at least l1(F_k), and at least l0(T_base) for the base-length maximum
 spanning tree T_base (F_k outweighs the T_base edges it displaces, and the
 fill completes it best).  OPT(k) <= l0(T_base) + l1(F_k), so it is at least
-OPT(k) / 2.  The ladder check and the two edge orders Kruskal reads do not
-depend on k, so each is kept in the graph's memo, as is ``base_tree``, the
-randomized solver's fallback.
+OPT(k) / 2.  Neither the ladder check nor the two edge orders Kruskal reads
+depend on k, so the orders are kept in the graph's memo as one entry,
+``"uimst_orders"``, once the check passes; the tree's totals are read from
+the records Kruskal picks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .instances import (
     UpgradableGraph,
     _memo,
     require_valid,
-    solution_from_choices,
 )
 
 # weighted edges are (edge_id, u, v, weight) tuples
@@ -41,26 +41,6 @@ def max_spanning_tree(n: int, edges: Sequence[WeightedEdge]) -> list[int]:
     return chosen
 
 
-def _level_order(graph: UpgradableGraph, level: int) -> list[WeightedEdge]:
-    """The graph's edges weighted by their ``level`` lengths, in ``_by_weight``
-    order, memoized on the graph."""
-    memo = _memo(graph)
-    key = ("level_order", level)
-    if key not in memo:
-        memo[key] = _by_weight([(e.id, e.u, e.v, e.ladder[level].length)
-                                for e in graph.edges])
-    return memo[key]
-
-
-def base_tree(graph: UpgradableGraph) -> tuple[int, ...]:
-    """Edge ids of the maximum spanning tree on level-0 lengths, memoized on
-    the graph."""
-    memo = _memo(graph)
-    if "base_tree" not in memo:
-        memo["base_tree"] = tuple(max_spanning_tree(graph.n, _level_order(graph, 0)))
-    return memo["base_tree"]
-
-
 def uimst_half_approx(graph: UpgradableGraph, k: int) -> TreeSolution:
     """The capped improved-forest tree.
 
@@ -69,16 +49,21 @@ def uimst_half_approx(graph: UpgradableGraph, k: int) -> TreeSolution:
     """
     require_valid(graph)
     memo = _memo(graph)
-    if "two_level" not in memo:  # a graph that fails the check is never memoized
+    orders = memo.get("uimst_orders")
+    if orders is None:  # a graph that fails the check is never memoized
         if any(len(e.ladder) != 2 for e in graph.edges):
             raise ValueError("uimst_half_approx needs two-level ladders")
-        memo["two_level"] = True
+        # (id, u, v, length, cost) records of each level, in Kruskal's order
+        orders = memo["uimst_orders"] = tuple(
+            _by_weight([(e.id, e.u, e.v, *e.ladder[level]) for e in graph.edges])
+            for level in (0, 1))
     if k < 0:
         raise ValueError("cap must be nonnegative")
 
     # the fill skips each forest edge's base copy, whose endpoints the forest joins
+    base, improved = orders
     parent = list(range(graph.n))
-    forest = [e[0] for e in kruskal(_level_order(graph, 1), parent, k)]
-    tree = forest + [e[0] for e in kruskal(_level_order(graph, 0), parent, graph.n - 1 - len(forest))]
-    upgraded = set(forest)
-    return solution_from_choices(graph, {eid: int(eid in upgraded) for eid in tree})
+    forest = kruskal(improved, parent, k)
+    tree = forest + kruskal(base, parent, graph.n - 1 - len(forest))
+    choices = {rec[0]: int(i < len(forest)) for i, rec in enumerate(tree)}
+    return TreeSolution(choices, sum(rec[3] for rec in tree), sum(rec[4] for rec in tree))

@@ -339,6 +339,15 @@ def test_seed_env_default(tmp_path, capsys, monkeypatch):
     assert code == 0 and json.loads(out)["seed"] == 3
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_imst_takes_a_delta_below_the_smallest_float(command, tmp_path, capsys):
+    # 1e-400 parses as an exact rational; as a float it would be 0.0
+    argv = (["solve", "--algo", "imst", "--in", str(gen_file(tmp_path, capsys)), "--no-timing"]
+            if command == "solve" else ["verify", "--algo", "imst", "--count", "1", "--trials", "2"])
+    code, out, err = run(capsys, *argv, "--delta", "1e-400")
+    assert (code, err) == (0, "") and out
+
+
 def test_oversized_vertex_count_exits_2_with_one_line(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({

@@ -101,6 +101,13 @@ def test_every_marked_unread_import_is_rebound_by_the_tracer():
     assert unpatched_marked_imports(sources, TRACING.read_text()) == []
 
 
+def test_the_only_tracer_only_imports_are_dag_dps_reachability_walks():
+    # the tracer rebinds these on dag_dp; no other module keeps an import it never reads
+    marked = [f"{p.stem}.{name}" for p in MODULES
+              for name, _line, is_marked in unread_imports(p.read_text()) if is_marked]
+    assert marked == ["dag_dp.reachable_from", "dag_dp.reaching_to"]
+
+
 def test_marked_import_check_flags_names_the_tracer_does_not_rebind():
     sources = {"a": ("from .b import walk, step, hop  # noqa: F401\n"
                      "from .c import sort  # noqa: F401\n"

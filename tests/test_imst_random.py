@@ -45,6 +45,13 @@ def test_config_derived_quantities():
     assert cfg(delta="1/5").num_trials == want
 
 
+def test_trial_count_reads_log_one_over_delta_exactly():
+    # float(10**-400) is 0.0; the count reads delta's numerator and denominator
+    assert cfg(delta=Fraction(1, 10**400)).num_trials == 3002
+    deltas = ["1/2", "1/3", "1/4", "1/5", "3/10", "1/10", "1/20", "1/100"]
+    assert [cfg(delta=d).num_trials for d in deltas] == [3, 4, 5, 6, 4, 8, 10, 16]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         cfg(eps="0")
@@ -158,6 +165,42 @@ def reversed_ladders(up):
             ImprovementLevel(lv.length, lc.cost)
             for lv, lc in zip(reversed(e.ladder), e.ladder)))
         for e in up.edges))
+
+
+def test_fallback_is_the_networkx_spanning_tree_on_level_0_lengths():
+    """Runs in both directions that return neither the relaxed tree (it
+    overspends) nor a trial (none fits) return the maximum spanning tree on
+    level-0 lengths, or the minimum one when minimizing, as networkx builds
+    it: the same total always, and the same edges when no two weights tie."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261021)
+    fallbacks, distinct = {False: 0, True: 0}, 0
+    for _ in range(800):
+        minimize = rng.random() < 0.5
+        n = rng.randint(3, 9)
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, 2 * n))
+        up = generate.gen_random_graph(n, m, max_len=rng.choice((6, 10**6)), max_cost=6,
+                                       levels=3, seed=rng.randrange(1 << 30))
+        g = reversed_ladders(up) if minimize else up
+        budget = rng.randint(0, sum(e.ladder[-1].cost for e in g.edges) // 4)
+        config = cfg(rng.choice(("3/10", "1/2")), seed=rng.randrange(10_000),
+                     trials=rng.choice((1, 2)))
+        res = imst_solve(g, budget, config, minimize=minimize)
+        relaxed_spend = imst_random._plan(g, budget, config.epsilon_prime, minimize)[2]
+        if res.best_trial is not None or relaxed_spend <= budget:
+            continue
+        fallbacks[minimize] += 1
+        base = nx.Graph()
+        base.add_nodes_from(range(g.n))
+        base.add_edges_from((e.u, e.v, {"weight": e.ladder[0].length, "id": e.id})
+                            for e in g.edges)
+        tree = (nx.minimum_spanning_tree if minimize else nx.maximum_spanning_tree)(base)
+        assert set(res.solution.choices.values()) == {0} and res.solution.total_spend == 0
+        assert res.solution.total_length == tree.size(weight="weight")
+        if len({e.ladder[0].length for e in g.edges}) == g.m:
+            assert set(res.solution.choices) == {d["id"] for *_, d in tree.edges(data=True)}
+            distinct += 1
+    assert min(fallbacks.values()) >= 10 and distinct >= 10, (fallbacks, distinct)
 
 
 @given(st.integers(0, 5000), st.integers(3, 6), st.integers(0, 15))

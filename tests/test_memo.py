@@ -1,6 +1,7 @@
-"""Facts memoized on an instance: validation, a DAG's topological order and
-source reach, a graph's ladders as plain tuples, the randomized solver's
-relaxation plan and the base-length spanning tree.
+"""Facts memoized on an instance: validation, a DAG's head lists with its
+topological order and its source reach, uimst's edge orders and the
+randomized solver's relaxation plan, whose fallback is the base-length
+spanning tree.
 
 The memo must be invisible: solving an instance once or many times gives the
 results of the unmemoized pipeline, failures are never remembered, and the
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from netupgrade import dag_dp, generate, imst_random, instances, mst_uniform
+from netupgrade import dag_dp, generate, imst_random, instances
 from netupgrade.imst_random import (
     ImstResult,
     RandomizedConfig,
@@ -486,5 +487,5 @@ def test_each_direction_keeps_its_own_plan():
     low = imst_solve(g, 0, config, minimize=True)
     assert high.solution.total_length == 17 and low.solution.total_length == 10
     assert imst_solve(g, 0, config).solution == high.solution
-    assert mst_uniform.base_tree(g) == (0, 1)
+    assert imst_random._plan(g, 0, config.epsilon_prime, False)[4] == (0, 1)
     assert imst_random.imst_solve(g, 0, config, minimize=True).solution == low.solution
