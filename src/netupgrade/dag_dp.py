@@ -22,9 +22,13 @@ every frontier starts at spend 0, and the best base-copy extension of the
 heads' spend-0 pairs bounds every pair a vertex keeps; an out-edge whose
 best candidate is worse than that bound cannot add a kept pair and is
 skipped (the simplest label bound of resource-constrained shortest paths,
-Dumitrescu & Boland, Networks 42(3), 2003).  No parent pointers are kept:
-the answer's path is recovered from the frontiers alone, and every solver
-returns it totalled by ``instances.evaluate_path``.
+Dumitrescu & Boland, Networks 42(3), 2003).  The DP reads the instance's
+own out-edge lists, built once with its topological order, and needs no
+list of the edges on source-sink paths: a vertex that reaches no sink
+keeps a sentinel frontier of one infinitely bad pair, which that bound
+skips.  No parent pointers are kept: the answer's path is recovered from
+the frontiers alone, and every solver returns it totalled by
+``instances.evaluate_path``.
 """
 
 from __future__ import annotations
@@ -36,17 +40,31 @@ from fractions import Fraction
 
 from ._util import as_fraction
 from .instances import (
-    DagEdge,
     DagInstance,
     PathSolution,
+    _kahn,
+    _source_reach,
     evaluate_path,
     require_valid,
-    st_edges,
 )
 # the reachability names stay importable here: benchmark/tracing.py rebinds them
 from .instances import reachable_from, reaching_to  # noqa: F401
 
 INF = math.inf
+
+
+class _Never(float):
+    """+inf that stays +inf when any int is added to it: a plain float
+    raises OverflowError on an int beyond the float range."""
+
+    def __add__(self, other):
+        return self
+
+    __radd__ = __add__
+
+
+# the frontier of a vertex that reaches no sink (see _frontier_dp)
+_DEAD = ((_Never(INF), 0),)
 
 
 def _path(dag: DagInstance, edge_ids, improved) -> PathSolution:
@@ -78,6 +96,21 @@ def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, weights):
     candidate length per spend: each out-edge extends every pair of its head
     at base length and, within the budget, improved at its price.
 
+    Vertices are filled in reverse topological order from the instance's
+    out-edge lists (``instances._kahn``), every out-edge of each vertex the
+    source reaches; the others are skipped, as no vertex the source reaches
+    has an edge into one.  A vertex that reaches no sink keeps ``_DEAD``,
+    the single pair (+inf, 0).  That is exact: an edge into such a vertex
+    gives +inf as its spend-0 candidate and as its best one, so it lowers
+    no bound and is skipped beside any edge that sets a finite one; a
+    vertex whose heads all reach no sink has bound +inf, fills no row and
+    keeps ``_DEAD`` in turn.  The sink's out-edges lead only to such
+    vertices, as the DAG is acyclic, so the sink keeps (0, 0).  And
+    ``_keeps`` never finds a finite pair in ``_DEAD``.  So the vertices
+    filled, their frontiers and the path are those of the DP over the
+    source-sink edges alone.  ``_DEAD``'s length is a ``_Never``, which
+    stays +inf when an int of any size is added.
+
     Before the row is filled, ``bound`` is the best base candidate from
     the heads' spend-0 pairs.  Every frontier starts at spend 0, by
     induction from the sink's (0, 0), since a base copy costs nothing; so
@@ -103,19 +136,20 @@ def _frontier_dp(dag: DagInstance, budget: int, minimize: bool, weights):
     as the cheaper entry feeds a cheaper spend at no worse length.
     """
     sign = 1 if minimize else -1
-    out: dict[int, list[DagEdge]] = {}
-    for e in st_edges(dag):
-        out.setdefault(e.tail, []).append(e)
-    pairs = {dag.sink: [(0, 0)]}
+    out, from_s = _kahn(dag)[0], _source_reach(dag)
+    pairs = [_DEAD] * dag.n
+    pairs[dag.sink] = [(0, 0)]
     for v in reversed(dag.topological_order()):
-        edges = out.get(v)
-        if edges is None:
+        if v not in from_s:
             continue
+        edges = out[v]
         bound = INF
         for e in edges:
             x = pairs[e.head][0][0] + sign * weights[e.id][0]
             if x < bound:
                 bound = x
+        if bound == INF:
+            continue
         live, top, reads = [], 0, 0
         for e in edges:
             base, improved, price = weights[e.id]

@@ -21,12 +21,14 @@ in the instance's ``__dict__``, outside the dataclass fields, so ``==``,
 ``hash`` and ``repr`` never see it.  It holds successes only.
 ``require_valid`` records a passed validation per ``improvement`` direction
 and never a failure, so an invalid instance raises the same violations on
-every call.  A DAG keeps three entries there: ``"kahn"``, its head lists
-(``heads[v]``, the heads of v's out-edges) with the topological order built
-from them; ``"from_s"``, the vertices its source reaches; and
-``"st_edges"``, its source-sink edges.  So validation,
-``effective_max_length`` and the frontier DP share one computation of each.
-Reachability is one sweep of the kept order over the head lists.  A graph
+every call.  A DAG keeps three entries there: ``"kahn"``, its out-edge
+lists (``out[v]``, v's ``DagEdge`` records in edge order) with the
+topological order built from them, the one adjacency that validation, both
+reachability sweeps and the frontier DP read; ``"from_s"``, the vertices
+its source reaches, which validation and the frontier DP share; and
+``"st_edges"``, its source-sink edges, which only ``effective_max_length``
+reads (W, the longest-path FPTAS's scaling width).  Reachability is one
+sweep of the kept order over the out-edge lists.  A graph
 keeps only what its solvers derive: uimst's two edge orders
 (``"uimst_orders"``) and one ``("imst_plan", ...)`` entry per randomized
 relaxation.  The rule assumes the instance is built from tuples and never
@@ -37,8 +39,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain
-from operator import ge, itemgetter, le
+from itertools import chain, groupby
+from operator import ge, gt, itemgetter, le, lt
 from typing import NamedTuple
 
 from ._util import kruskal
@@ -160,28 +162,31 @@ class MultiGraph:
     copies: tuple[EdgeCopy, ...]
 
 
-def _head_lists(n: int, edges) -> list[list[int]]:
-    """heads[v]: the heads of v's out-edges, in edge order.
+_tail, _head = itemgetter(1), itemgetter(2)  # a DagEdge's endpoints
+
+
+def _out_edges(n: int, edges) -> list[list[DagEdge]]:
+    """out[v]: v's out-edges, in edge order.
 
     Raises InvalidInstanceError, in the validator's words, for every edge
     with an endpoint outside [0, n), which would otherwise index a list
     from its end.
     """
-    heads: list[list[int]] = [[] for _ in range(n)]
+    out: list[list[DagEdge]] = [[] for _ in range(n)]
     if not edges:
-        return heads
-    tails, tips = list(map(itemgetter(1), edges)), list(map(itemgetter(2), edges))
+        return out
+    tails, tips = list(map(_tail, edges)), list(map(_head, edges))
     if min(tails) < 0 or min(tips) < 0 or max(tails) >= n or max(tips) >= n:
         raise InvalidInstanceError([f"edge {e.id}: endpoint out of range" for e in edges
                                     if not (0 <= e.tail < n and 0 <= e.head < n)])
-    for tail, head in zip(tails, tips):
-        heads[tail].append(head)
-    return heads
+    for tail, run in groupby(edges, _tail):
+        out[tail] += run
+    return out
 
 
-def _topological_order(n: int, heads: list[list[int]]) -> list[int] | None:
+def _topological_order(n: int, out: list[list[DagEdge]]) -> list[int] | None:
     indeg = [0] * n
-    for w in chain.from_iterable(heads):
+    for w in map(_head, chain.from_iterable(out)):
         indeg[w] += 1
     ready = [v for v in range(n) if indeg[v] == 0]
     heapq.heapify(ready)
@@ -189,47 +194,47 @@ def _topological_order(n: int, heads: list[list[int]]) -> list[int] | None:
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for w in heads[v]:
+        for w in map(_head, out[v]):
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
     return order if len(order) == n else None
 
 
-def _kahn(dag: DagInstance) -> tuple[list[list[int]], list[int]]:
-    """(head lists, Kahn's order smallest vertex id first), one memo entry,
-    shared, never mutated.
+def _kahn(dag: DagInstance) -> tuple[list[list[DagEdge]], list[int]]:
+    """(out-edge lists, Kahn's order smallest vertex id first), one memo
+    entry, shared, never mutated.
 
     Raises InvalidInstanceError on an endpoint out of range or a cycle.
     """
     memo = _memo(dag)
     if "kahn" not in memo:
-        heads = _head_lists(dag.n, dag.edges)
-        order = _topological_order(dag.n, heads)
+        out = _out_edges(dag.n, dag.edges)
+        order = _topological_order(dag.n, out)
         if order is None:
             raise InvalidInstanceError(["not acyclic"])
-        memo["kahn"] = heads, order
+        memo["kahn"] = out, order
     return memo["kahn"]
 
 
 def reachable_from(dag: DagInstance, start: int) -> set[int]:
     """Vertices reachable from `start` along the edges: one forward sweep of
     the topological order, so the DAG must be acyclic."""
-    heads, order = _kahn(dag)
+    out, order = _kahn(dag)
     seen = {start}
     for v in order:
         if v in seen:
-            seen.update(heads[v])
+            seen.update(map(_head, out[v]))
     return seen
 
 
 def reaching_to(dag: DagInstance, target: int) -> set[int]:
     """Vertices that reach `target` along the edges: one reverse sweep of the
     topological order, so the DAG must be acyclic."""
-    heads, order = _kahn(dag)
+    out, order = _kahn(dag)
     seen = {target}
     for v in reversed(order):
-        if not seen.isdisjoint(heads[v]):
+        if not seen.isdisjoint(map(_head, out[v])):
             seen.add(v)
     return seen
 
@@ -302,29 +307,36 @@ def _validate_graph(graph: UpgradableGraph, improvement: str) -> list[str]:
     return bad
 
 
+def _never(base: int, improved: int) -> bool:
+    """No upgrade runs the wrong way under a direction other than the two."""
+    return False
+
+
 def _validate_dag(dag: DagInstance, improvement: str) -> list[str]:
     bad: list[str] = []
     if dag.n < 2:
         bad.append("DAG needs at least two vertices")
         return bad
-    n, seen_ids = dag.n, set()
-    endpoints_in_range = dense = True
+    n, seen_ids = dag.n, None
+    # wrong(base, improved): the upgrade runs against the direction
+    wrong, side = ((gt, "below") if improvement == "increase" else
+                   (lt, "above") if improvement == "decrease" else (_never, None))
+    endpoints_in_range = True
     for i, (eid, tail, head, base, improved, cost) in enumerate(dag.edges):
-        if eid in seen_ids:
-            bad.append(f"edge {eid}: duplicate id")
-        seen_ids.add(eid)
-        if eid != i:
-            dense = False
+        if eid != i or seen_ids is not None:
+            if seen_ids is None:  # the ids so far are exactly 0..i-1
+                seen_ids = set(range(i))
+            if eid in seen_ids:
+                bad.append(f"edge {eid}: duplicate id")
+            seen_ids.add(eid)
         if not (0 <= tail < n and 0 <= head < n):
             bad.append(f"edge {eid}: endpoint out of range")
             endpoints_in_range = False
         if base < 0 or improved < 0 or cost < 0:
             bad.append(f"edge {eid}: negative length or cost")
-        if improvement == "increase" and base > improved:
-            bad.append(f"edge {eid}: improved length below base length")
-        if improvement == "decrease" and improved > base:
-            bad.append(f"edge {eid}: improved length above base length")
-    if not dense:
+        if wrong(base, improved):
+            bad.append(f"edge {eid}: improved length {side} base length")
+    if seen_ids is not None:
         bad.append(_NOT_DENSE)
     if not (0 <= dag.source < dag.n and 0 <= dag.sink < dag.n):
         bad.append("source or sink out of range")

@@ -276,16 +276,21 @@ def frontier_case(seed, n, density, max_len, max_cost, budget_kind, minimize, ta
         dag = flip(dag)
     budget = {"zero": 0, "small": 3 * max_cost // 2, "total": sum(e.cost for e in dag.edges),
               "huge": 10**12}[budget_kind]
+    return (dag, *solver_table(dag, budget, minimize, table, unit))
+
+
+def solver_table(dag, budget, minimize, table, unit):
+    """(budget, weights) of ``table`` as its solver would pass them to the DP."""
     if table == "uniform":
-        return dag, min(budget, n - 1), [(e.base, e.improved, 1) for e in dag.edges]
+        return min(budget, dag.n - 1), [(e.base, e.improved, 1) for e in dag.edges]
     if table == "free":
-        return dag, 0, [(e.base, e.improved, 0 if e.cost <= budget else 1) for e in dag.edges]
+        return 0, [(e.base, e.improved, 0 if e.cost <= budget else 1) for e in dag.edges]
     k = unit if table == "fptas" else 1
 
     def scale(x):
         return -(-x // k) if minimize else x // k
 
-    return dag, budget, [(scale(e.base), scale(e.improved), e.cost) for e in dag.edges]
+    return budget, [(scale(e.base), scale(e.improved), e.cost) for e in dag.edges]
 
 
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 40), density=st.integers(1, 4),
@@ -382,6 +387,58 @@ def test_every_vertex_keeps_the_reference_frontier(seed, n, density, max_len, ma
                                     if v in pairs and v != dag.sink]
     for v, frontier in kept:
         assert frontier == pairs[v], v
+
+
+def dead_ends(scale):
+    """Source 0, sink 4, and every kind of vertex off the source-sink paths:
+    3 and 5 are reached but reach no sink, 5 only through the sink's own
+    out-edge, 6 reaches the sink unreached, and 7 is isolated.  Lengths are
+    multiplied by ``scale``."""
+    arcs = [(0, 1, 1, 3, 2), (0, 2, 2, 2, 0), (1, 2, 0, 4, 1), (1, 4, 3, 5, 2),
+            (2, 4, 1, 6, 3), (1, 3, 9, 9, 0), (3, 5, 9, 9, 0), (4, 5, 7, 8, 1),
+            (6, 2, 9, 9, 0)]
+    return DagInstance(8, tuple(DagEdge(i, u, v, scale * base, scale * improved, cost)
+                                for i, (u, v, base, improved, cost) in enumerate(arcs)), 0, 4)
+
+
+@pytest.mark.parametrize("scale", [1, 2**1100], ids=["unit", "2**1100"])
+@pytest.mark.parametrize("minimize", [False, True])
+@pytest.mark.parametrize("table", ["budget", "uniform", "fptas", "free"])
+def test_vertices_off_every_source_sink_path_fill_no_row(table, minimize, scale):
+    """A vertex that reaches no sink keeps the dead-end frontier and one the
+    source cannot reach is never visited, so the DP fills the reference's
+    vertices with its frontiers.  Lengths beyond the float range (2**1100)
+    still add to a dead end's length."""
+    dag = dead_ends(scale)
+    if minimize:
+        dag = flip(dag)
+    for budget in (0, 2, 5):
+        cap, weights = solver_table(dag, budget, minimize, table, 2)
+        args = (dag, cap, minimize, weights)
+        path, pairs = reference_frontiers(*args)
+        got, kept = traced_locals("pairs[v] = kept", ("v", "kept"), *args)
+        assert got == path
+        assert [v for v, _ in kept] == [2, 1, 0]
+        assert [v for v, _ in kept] == [v for v in reversed(dag.topological_order())
+                                        if v in pairs and v != dag.sink]
+        for v, frontier in kept:
+            assert frontier == pairs[v], v
+        assert dag_dp._path(dag, *got) == dag_dp._path(dag, *path)
+
+
+@pytest.mark.parametrize("n, expected", [(25, 2028), (50, 15925)])
+def test_the_transitive_tournament_reads_what_the_spend_0_bound_leaves(n, expected):
+    """T_n: arcs i -> j for all i < j, base 1, improved 2, price 1, b = n - 1.
+    w keeps n - w pairs, and v's bound is n - 1 - v (its edge to v + 1 at
+    base length), so v reads w's pairs exactly when 2(n - w) >= n - 1 - v."""
+    dag = DagInstance(n, tuple(DagEdge(i, u, v, 1, 2, 1) for i, (u, v) in
+                               enumerate((u, v) for u in range(n) for v in range(u + 1, n))),
+                      0, n - 1)
+    weights = [(1, 2, 1)] * dag.m
+    got, rows = filled_rows(dag, n - 1, False, weights)
+    assert got == reference_frontier_dp(dag, n - 1, False, weights)
+    assert sum(reads for _row, reads in rows) == expected == sum(
+        n - w for v in range(n) for w in range(v + 1, n) if 2 * (n - w) >= n - 1 - v)
 
 
 def test_an_edge_beaten_by_the_spend_0_bound_reads_no_head_pair():

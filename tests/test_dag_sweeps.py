@@ -1,4 +1,4 @@
-"""A DAG's head lists, topological order, reachability sweeps and column-wise
+"""A DAG's out-edge lists, topological order, reachability sweeps and column-wise
 validation against frozen per-edge references.
 
 ``reference_validate_dag`` is the per-edge validator as it stood before the
@@ -10,12 +10,13 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netupgrade import dag_dp, generate, instances
 from netupgrade.instances import (
     _NOT_DENSE,
+    DagEdge,
     DagInstance,
     InvalidInstanceError,
     _source_reach,
@@ -187,6 +188,32 @@ def test_each_fault_is_reported_as_the_reference_words_it():
             assert expected and validate(faulty, improvement=improvement) == expected
 
 
+@st.composite
+def edge_id_dags(draw):
+    """A small DAG whose edge ids are dense, permuted, or drawn with repeats,
+    gaps and negatives, among out-of-range endpoints, negative lengths and
+    costs, and upgrades running either way."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(0, 10))
+    ids = draw(st.one_of(st.just(list(range(m))), st.permutations(range(m)),
+                         st.lists(st.integers(-2, m + 2), min_size=m, max_size=m)))
+    end, value = st.integers(-1, n), st.integers(-2, 6)
+    edges = tuple(DagEdge(eid, draw(end), draw(end), draw(value), draw(value), draw(value))
+                  for eid in ids)
+    return DagInstance(n, edges, draw(end), draw(end))
+
+
+@given(edge_id_dags(), st.one_of(st.sampled_from(["increase", "decrease"]), st.text(max_size=3),
+                                 st.none(), st.integers()))
+@settings(max_examples=500, deadline=None)
+# id 1 sits at 0, then 1 repeats in its own place
+@example(DagInstance(3, (DagEdge(1, 0, 1, 1, 2, 0), DagEdge(1, 1, 2, 1, 2, 0),
+                         DagEdge(2, 0, 2, 2, 1, 0)), 0, 2), "increase")
+def test_validation_words_every_id_sequence_as_the_reference(dag, improvement):
+    assert validate(dag, improvement=improvement) == \
+        reference_validate_dag(twin(dag), improvement)
+
+
 # --- sweeps ---------------------------------------------------------------------
 
 @given(st.integers(2, 200), st.integers(0, 10_000), st.data())
@@ -212,8 +239,8 @@ def test_sweeps_from_a_vertex_outside_the_dag_find_only_it():
 
 def test_one_parse_and_solve_builds_the_head_lists_once(monkeypatch):
     built = []
-    real = instances._head_lists
-    monkeypatch.setattr(instances, "_head_lists",
+    real = instances._out_edges
+    monkeypatch.setattr(instances, "_out_edges",
                         lambda *a: built.append(a) or real(*a))
     doc = serialize(Problem("wildag", 6, dag=generate.gen_random_dag(30, 90, seed=3)))
     dag = parse(doc).dag

@@ -1,4 +1,4 @@
-"""Facts memoized on an instance: validation, a DAG's head lists with its
+"""Facts memoized on an instance: validation, a DAG's out-edge lists with its
 topological order and its source reach, uimst's edge orders and the
 randomized solver's relaxation plan, whose fallback is the base-length
 spanning tree.
