@@ -1,4 +1,4 @@
-"""Command-line front end: generate, solve, verify, benchmark.
+"""Command-line front end: generate, solve, verify.
 
 All machine-readable data goes to stdout (JSON for single results, CSV for
 batches); diagnostics go to stderr.  Exit codes: 0 success, 2 usage, invalid
@@ -220,12 +220,12 @@ _GUARANTEES = {
 }
 
 
-def _require_size(option: str, size: int, algo: str) -> None:
+def _require_size(size: int, algo: str) -> None:
     """Reject a size the generator cannot serve: a graph needs a vertex, a
     DAG a source and a sink."""
     least = 1 if algo in TREE_ALGOS else 2
     if size < least:
-        raise UsageError(f"{option} must be at least {least} for {algo}")
+        raise UsageError(f"--size must be at least {least} for {algo}")
 
 
 def _verify_problem(algo: str, size: int, seed: int) -> Problem:
@@ -247,14 +247,6 @@ def _verify_problem(algo: str, size: int, seed: int) -> Problem:
     return Problem("wildag", rng.randint(0, max(1, total // 2)), dag=dag)
 
 
-def _write_csv(fields: list[str], rows: list[dict]) -> int:
-    # called after the solves, so an argument a solver rejects prints nothing
-    writer = csv.DictWriter(sys.stdout, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return 0
-
-
 def cmd_verify(args) -> int:
     if args.algo not in _GUARANTEES:
         raise UsageError(f"verify does not support algorithm {args.algo!r}")
@@ -262,10 +254,15 @@ def cmd_verify(args) -> int:
         raise UsageError("--trials must be positive")
     if args.count < 0:
         raise UsageError("--count must be nonnegative")
-    _require_size("--size", args.size, args.algo)
+    _require_size(args.size, args.algo)
     eps = _given(args.epsilon, Fraction(3, 10))
     delta = _given(args.delta, Fraction(1, 5))
-    return _write_csv(VERIFY_FIELDS, [_verify_one(args, i, eps, delta) for i in range(args.count)])
+    rows = [_verify_one(args, i, eps, delta) for i in range(args.count)]
+    # written after the solves, so an argument a solver rejects prints nothing
+    writer = csv.DictWriter(sys.stdout, fieldnames=VERIFY_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return 0
 
 
 def _verify_one(args, i: int, eps: Fraction, delta: Fraction) -> dict:
@@ -297,45 +294,6 @@ def _verify_one(args, i: int, eps: Fraction, delta: Fraction) -> dict:
             "epsilon": str(eps), "delta": str(delta), "trials": len(runs),
             "successes": successes, "fraction": round(fraction, 6),
             "min_ratio": round(min(ratios), 6), "passed": passed}
-
-
-BENCH_FIELDS = ["algo", "n", "m", "W", "epsilon", "wall_ms", "objective"]
-
-
-def _third_of_costs(dag) -> int:
-    return sum(e.cost for e in dag.edges) // 3
-
-
-# algorithm -> budget rule(dag); the solve itself is the DAG_ALGOS entry
-_BENCH_BUDGETS = {
-    "wildag-uniform": lambda dag: dag.n // 2,
-    "wildag-exact": _third_of_costs,
-    "wildag-fptas": _third_of_costs,
-}
-
-
-def cmd_bench(args) -> int:
-    if args.algo not in _BENCH_BUDGETS:
-        raise UsageError(f"bench does not support algorithm {args.algo!r}")
-    solve = DAG_ALGOS[args.algo]
-    rows = []
-    for n in args.sizes:
-        _require_size("--sizes", n, args.algo)
-        m = min(n * (n - 1) // 2, max(n, n * n // 8))
-        dag = generate.gen_random_dag(n, m, max_len=10, max_cost=4, seed=args.seed + n,
-                                      uniform_cost=1 if args.algo.endswith("uniform") else None)
-        budget = _BENCH_BUDGETS[args.algo](dag)
-        for eps in args.epsilons or [None]:
-            start = time.perf_counter()
-            sol = solve(dag, budget, argparse.Namespace(epsilon=eps))
-            wall = (time.perf_counter() - start) * 1000.0
-            rows.append({
-                "algo": args.algo, "n": n, "m": dag.m,
-                "W": dag.effective_max_length(budget),
-                "epsilon": "" if eps is None else str(eps),
-                "wall_ms": round(wall, 3), "objective": sol.total_length,
-            })
-    return _write_csv(BENCH_FIELDS, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,12 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--epsilon", type=_fraction)
     verify.add_argument("--delta", type=_fraction)
     verify.add_argument("--seed", type=int)
-
-    bench = sub.add_parser("bench", help="size/epsilon sweeps with wall times")
-    bench.add_argument("--algo", required=True)
-    bench.add_argument("--sizes", type=_list_of(_int), default=[])
-    bench.add_argument("--epsilons", type=_list_of(_fraction))
-    bench.add_argument("--seed", type=int)
     return top
 
 
@@ -387,8 +339,7 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    handlers = {"gen": cmd_gen, "solve": cmd_solve,
-                "verify": cmd_verify, "bench": cmd_bench}
+    handlers = {"gen": cmd_gen, "solve": cmd_solve, "verify": cmd_verify}
     try:
         args = _PARSER.parse_args(argv)
         if args.seed is None:

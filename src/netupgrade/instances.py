@@ -116,7 +116,7 @@ class DagInstance:
 
         Improved lengths count only when the improvement alone is affordable;
         edges off every s-t path are ignored.  This is W: the longest-path
-        FPTAS derives its scaling unit from it, and ``bench`` reports it.
+        FPTAS derives its scaling unit from it.
         """
         return max([0] + [max(e.base, e.improved) if e.cost <= budget else e.base
                           for e in st_edges(self)])

@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,43 @@ def test_exit_code_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--algo", "twocost", "--in", str(path), "--epsilon", "abc"])
     assert exc.value.code == 2 and "not a number: 'abc'" in capsys.readouterr().err
+    # an option value argparse cannot read exits 2 with a usage line naming it
+    for argv, bad in [
+        (("solve", "--algo", "wildag-fptas", "--in", str(path), "--epsilon", "1/0"),
+         "--epsilon: not a number: '1/0'"),
+        (("gen", "--kind", "wildag", "--knapsack", "1,x", "1,2"),
+         "--knapsack: not an integer: 'x'"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (2, "")
+        assert out.err.startswith("usage: ") and out.err.endswith(f"error: argument {bad}\n")
+
+
+def test_bench_is_no_longer_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--algo", "wildag-uniform", "--sizes", "8"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert "invalid choice: 'bench'" in out.err
+
+
+def readme_cli_lines():
+    """The argument lists of the ``netupgrade`` lines in README.md's CLI example."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("netupgrade ")]
+
+
+def test_the_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert len(lines) >= 5
+    for argv in lines:
+        code, _out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_exit_code_oracle_guard(tmp_path, capsys):
@@ -174,8 +212,8 @@ def test_verify_unknown_algo(capsys):
     ("verify", "--algo", "nope", "--count", "1"),
     ("verify", "--algo", "nope", "--count", "0"),
     ("verify", "--algo", "exact-wisdag", "--count", "0"),
-    ("bench", "--algo", "nope", "--sizes", "8"),
-    ("bench", "--algo", "imst", "--sizes", ""),
+    ("verify", "--algo", "exact-imst", "--count", "0"),
+    ("verify", "--algo", "exact-twocost", "--count", "1"),
 ])
 def test_unsupported_algo_is_rejected_before_the_csv_header(argv, capsys):
     code, out, err = run(capsys, *argv)
@@ -195,22 +233,6 @@ def test_verify_rejects_a_solver_argument_before_the_csv_header(argv, message, c
     assert err == f"error: {message}\n"
 
 
-def test_bench_empty_sweep_is_header_only(capsys):
-    code, out, _ = run(capsys, "bench", "--algo", "wildag-uniform",
-                       "--sizes", "")
-    assert code == 0
-    assert out.strip() == "algo,n,m,W,epsilon,wall_ms,objective"
-
-
-def test_bench_rows(capsys):
-    code, out, _ = run(capsys, "bench", "--algo", "wildag-fptas",
-                       "--sizes", "16", "--epsilons", "1/2,1/4")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 3
-    assert lines[1].split(",")[0] == "wildag-fptas"
-
-
 @pytest.mark.parametrize("algo, size", [
     ("uimst", "1"), ("twocost", "1"), ("imst", "1"), ("wildag-exact", "2"),
 ])
@@ -219,28 +241,6 @@ def test_verify_serves_the_smallest_size(algo, size, capsys):
     header, row = out.splitlines()
     assert (code, err, header) == (0, "", ",".join(VERIFY_FIELDS))
     assert row.split(",")[3] == size and row.endswith(",True")
-
-
-@pytest.mark.parametrize("argv, message", [
-    (("--algo", "wildag-uniform", "--sizes", "1"), "--sizes must be at least 2 for wildag-uniform"),
-    (("--algo", "wildag-fptas", "--sizes", "10", "--epsilons", "0"), "eps must be in (0, 1)"),
-    (("--algo", "wildag-exact", "--sizes", "8,0"), "--sizes must be at least 2 for wildag-exact"),
-])
-def test_bench_rejects_a_solver_argument_before_the_header(argv, message, capsys):
-    assert run(capsys, "bench", *argv) == (2, "", f"error: {message}\n")
-
-
-@pytest.mark.parametrize("argv, bad", [
-    (("--epsilons", "1/0"), "--epsilons: not a number: '1/0'"),
-    (("--epsilons", "abc"), "--epsilons: not a number: 'abc'"),
-    (("--sizes", "x"), "--sizes: not an integer: 'x'"),
-])
-def test_bench_rejects_a_bad_list_item_as_a_usage_error(argv, bad, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--algo", "wildag-fptas", *argv])
-    out = capsys.readouterr()
-    assert (exc.value.code, out.out) == (2, "")
-    assert out.err.startswith("usage: ") and out.err.endswith(f"error: argument {bad}\n")
 
 
 @pytest.mark.parametrize("algo, runs", [("uimst", 6), ("twocost", 1), ("imst", 20)])

@@ -441,6 +441,70 @@ def test_the_transitive_tournament_reads_what_the_spend_0_bound_leaves(n, expect
         n - w for v in range(n) for w in range(v + 1, n) if 2 * (n - w) >= n - 1 - v)
 
 
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 40), density=st.integers(1, 4),
+       max_len=st.sampled_from([10, 1000]),
+       budget_kind=st.sampled_from(["zero", "small", "total", "huge"]), minimize=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_the_uniform_dp_reads_at_most_its_cap_plus_one_pairs_per_edge(
+        seed, n, density, max_len, budget_kind, minimize):
+    """The uniform table prices every upgrade 1 within b = min(budget, n - 1),
+    so a frontier holds at most b + 1 pairs and the DP reads at most
+    m * (b + 1) head pairs: the paper's O(n^3) once m < n^2."""
+    dag, b, weights = frontier_case(seed, n, density, max_len, 10, budget_kind, minimize,
+                                    "uniform", 1)
+    _got, rows = filled_rows(dag, b, minimize, weights)
+    assert sum(reads for _row, reads in rows) <= dag.m * (b + 1)
+
+
+def doubling_chain(k):
+    """Vertices 0..k, edge i from i to i + 1 with base 0 and improved length
+    = cost = 2**i: at budget 2**k - 1 every subset of upgrades is a distinct
+    spend at its own length, so every subset sum is a kept pair."""
+    return DagInstance(k + 1, tuple(DagEdge(i, i, i + 1, 0, 2**i, 2**i) for i in range(k)),
+                       0, k)
+
+
+@pytest.mark.parametrize("k", [8, 10, 12, 14])
+def test_the_budget_dp_reads_every_subset_sum_of_the_doubling_chain(k):
+    """Vertex v reads the 2**(k - 1 - v) pairs of v + 1, 2**k - 1 in all."""
+    dag, budget = doubling_chain(k), 2**k - 1
+    weights = solver_table(dag, budget, False, "budget", 1)[1]
+    got, rows = filled_rows(dag, budget, False, weights)
+    assert got == (list(range(k)), [True] * k)
+    assert [reads for _row, reads in rows] == [2**i for i in range(k)]
+    assert sum(reads for _row, reads in rows) == 2**k - 1
+
+
+def test_the_fptas_reads_grow_as_eps_halves_within_the_scaled_bound(monkeypatch):
+    """The k = 12 doubling chain at B = 2**12 - 1 has W = 2048 and n = 13, so
+    the FPTAS unit K = max(1, floor(eps*W/n)) falls from 78 at eps = 1/2 to 1
+    at 1/128.  A unit K leaves at most floor(W/K) per edge, so a frontier
+    holds at most min(B + 1, n*floor(W/K) + 1) pairs, and at K = 1 the DP is
+    the exact one."""
+    dag, budget = doubling_chain(12), 2**12 - 1
+    width, n = dag.effective_max_length(budget), dag.n
+    assert (width, n) == (2048, 13)
+    calls, real = [], dag_dp._frontier_dp
+    monkeypatch.setattr(dag_dp, "_frontier_dp", lambda *args: calls.append(args) or real(*args))
+    epsilons = [Fraction(1, 2**j) for j in range(1, 8)]
+    for eps in epsilons:
+        wildag_fptas(dag, budget, eps)
+    monkeypatch.undo()
+    units, counts = [], []
+    for eps, args in zip(epsilons, calls):
+        unit = max(1, eps * width // n)
+        assert args == (dag, budget, False, solver_table(dag, budget, False, "fptas", unit)[1])
+        units.append(unit)
+        counts.append(sum(reads for _row, reads in filled_rows(*args)[1]))
+    assert units == [78, 39, 19, 9, 4, 2, 1]
+    assert counts == [255, 447, 767, 1279, 3071, 4095, 4095]
+    assert counts == sorted(counts)
+    for unit, count in zip(units, counts):
+        assert count <= dag.m * min(budget + 1, n * (width // unit) + 1)
+    exact = filled_rows(dag, budget, False, solver_table(dag, budget, False, "budget", 1)[1])[1]
+    assert counts[-1] == sum(reads for _row, reads in exact)
+
+
 def test_an_edge_beaten_by_the_spend_0_bound_reads_no_head_pair():
     """The source reaches the sink directly at length 100, or through a
     chain of k edges that each add 1 when upgraded.  The chain's head keeps
